@@ -9,130 +9,4 @@ over the noise ensemble, the parity-code recovery model for the heralded
 losses, and fault-tolerance region maps under the effective-rate picture.
 """
 
-from .averaging import (
-    AveragingConfig,
-    EncodedCircuit,
-    EncoderNoise,
-    averaged_operator,
-    build_tree,
-    encoder_error_scaling,
-    fidelity_vs_target,
-    herald_branch,
-    herald_weights,
-    heralded_operator,
-    run_postselected,
-    success_branch,
-)
-from .fock import PhotonicState, apply_matrix, embed, is_unitary, vacuum_project
-from .formulas import (
-    effective_error_rate,
-    effective_loss_rate,
-    effective_rates,
-    fidelity_first_order,
-    fidelity_four_mode,
-    fidelity_single,
-    fidelity_type2,
-    success_prob_first_order,
-    success_prob_four_mode,
-    success_prob_single,
-    success_prob_type2,
-)
-from .ftregion import (
-    RegionQuery,
-    ThresholdCurve,
-    best_n,
-    is_fault_tolerant,
-    load_synthetic_curve,
-    sweep_region,
-)
-from .gates import (
-    FourModeParams,
-    FusionParams,
-    GateParams,
-    NoiseSpec,
-    four_mode_matrix,
-    fusion_type2_matrix,
-    named_gate,
-    sample_noisy,
-    single_qubit_matrix,
-)
-from .montecarlo import (
-    FusionRunResult,
-    GateRunResult,
-    McEstimate,
-    estimate_end_to_end,
-    estimate_fidelity,
-    estimate_fusion,
-    estimate_ps,
-    variant_discrimination,
-)
-from .parity import (
-    HeraldPattern,
-    LogicalState,
-    ParityCode,
-    logical_success_prob,
-    statevector_verify,
-    success_criteria,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AveragingConfig",
-    "EncodedCircuit",
-    "EncoderNoise",
-    "FourModeParams",
-    "FusionParams",
-    "FusionRunResult",
-    "GateParams",
-    "GateRunResult",
-    "HeraldPattern",
-    "LogicalState",
-    "McEstimate",
-    "NoiseSpec",
-    "ParityCode",
-    "PhotonicState",
-    "RegionQuery",
-    "ThresholdCurve",
-    "apply_matrix",
-    "averaged_operator",
-    "best_n",
-    "build_tree",
-    "effective_error_rate",
-    "effective_loss_rate",
-    "effective_rates",
-    "embed",
-    "encoder_error_scaling",
-    "estimate_end_to_end",
-    "estimate_fidelity",
-    "estimate_fusion",
-    "estimate_ps",
-    "fidelity_first_order",
-    "fidelity_four_mode",
-    "fidelity_single",
-    "fidelity_type2",
-    "fidelity_vs_target",
-    "four_mode_matrix",
-    "fusion_type2_matrix",
-    "herald_branch",
-    "herald_weights",
-    "heralded_operator",
-    "is_fault_tolerant",
-    "is_unitary",
-    "load_synthetic_curve",
-    "logical_success_prob",
-    "named_gate",
-    "run_postselected",
-    "sample_noisy",
-    "single_qubit_matrix",
-    "statevector_verify",
-    "success_branch",
-    "success_criteria",
-    "success_prob_first_order",
-    "success_prob_four_mode",
-    "success_prob_single",
-    "success_prob_type2",
-    "sweep_region",
-    "vacuum_project",
-    "variant_discrimination",
-]

@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PhotonicState, apply_matrix, vacuum_project
-from .gates import NoiseSpec, sample_deltas, splitter
+from .gates import NoiseSpec, sample_deltas
 
 __all__ = [
     "EncoderNoise",
-    "AveragingConfig",
     "EncodedCircuit",
     "averaged_operator",
     "heralded_operator",
@@ -91,26 +90,6 @@ class EncoderNoise:
 
     def spec(self) -> NoiseSpec:
         return NoiseSpec(self.variance, self.kind)
-
-
-@dataclass(frozen=True)
-class AveragingConfig:
-    """Shape of an averaging network: copy count and rails per copy."""
-
-    num_copies: int
-    rails: int = 2
-    encoder_noise: EncoderNoise | None = None
-
-    def __post_init__(self):
-        if self.num_copies < 1 or self.num_copies & (self.num_copies - 1):
-            raise ValueError("num_copies must be a power of two")
-        if self.rails < 1:
-            raise ValueError("rails must be at least 1")
-
-    @property
-    def num_layers(self) -> int:
-        """Splitter layers per side (the binary depth n)."""
-        return self.num_copies.bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,30 @@ def _parse_floats(raw, flag: str) -> list[float]:
     vals = []
     for item in _flatten_list(raw):
         try:
-            vals.append(float(item))
+            val = float(item)
         except (TypeError, ValueError):
             raise UsageError(f"{flag} expects numbers, got {item!r}") from None
+        if isinstance(item, bool) or not math.isfinite(val):
+            raise UsageError(f"{flag} expects finite numbers, got {item!r}")
+        vals.append(val)
     return vals
+
+
+def _parse_int(value, flag: str) -> int | None:
+    """An integer field; a config may store it as an integral float, never as
+    a bool or a number with a fractional part."""
+    if value is None:
+        return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{flag} expects a whole number, got {value!r}")
 
 
 def _parse_big_n(raw, flag: str = "--big-n") -> list[float]:
@@ -161,10 +181,10 @@ def _require_power_of_two(vals: Sequence[float], flag: str) -> list[int]:
 
 
 def _require_seed(params: dict):
-    seed = params.get("seed")
+    seed = _parse_int(params.get("seed"), "--seed")
     if seed is None:
         raise UsageError("--seed is required for stochastic subcommands")
-    if not isinstance(seed, int) or seed < 0:
+    if seed < 0:
         raise UsageError("--seed must be a non-negative integer")
     return seed
 
@@ -172,6 +192,11 @@ def _require_seed(params: dict):
 def _gate_from(params: dict):
     name = params.get("gate", "H") or "H"
     alpha = params.get("alpha")
+    if alpha is not None:
+        vals = _parse_floats(alpha, "--alpha")
+        if len(vals) != 1:
+            raise UsageError("--alpha expects one number")
+        alpha = vals[0]
     try:
         return named_gate(name, alpha)
     except ValueError as exc:
@@ -334,10 +359,9 @@ def cmd_mc(cfg: RunConfig) -> int:
     if family not in _MC_VARIANT_COLS:
         raise UsageError(f"unknown gate family {family!r}")
     seed = _require_seed(cfg.params)
-    samples = cfg.params.get("samples")
-    if not samples or int(samples) < 2:
+    samples = _parse_int(cfg.params.get("samples"), "--samples")
+    if not samples or samples < 2:
         raise UsageError("--samples must be at least 2")
-    samples = int(samples)
     nus = _parse_floats(cfg.params.get("nu"), "--nu")
     copies = _require_power_of_two(_parse_big_n(cfg.params.get("big_n")), "--big-n")
     if not nus or not copies:
@@ -347,7 +371,10 @@ def cmd_mc(cfg: RunConfig) -> int:
     comments: list[str] = []
     rows = []
     if family == "single-qubit":
-        points = grid_estimates(nus, copies, samples, seed=seed, with_fidelity=True)
+        try:
+            points = grid_estimates(nus, copies, samples, seed=seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         for pt in points:
             nu, big_n = pt["nu"], pt["num_copies"]
             rows.append(
@@ -389,9 +416,12 @@ def cmd_mc(cfg: RunConfig) -> int:
         for i, (nu, big_n) in enumerate(
             (nu, n) for nu in nus for n in copies
         ):
-            res = estimate_fusion(
-                nu, big_n, samples, seed=derive_point_seed(seed, i), layout=family
-            )
+            try:
+                res = estimate_fusion(
+                    nu, big_n, samples, seed=derive_point_seed(seed, i), layout=family
+                )
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
             row = {
                 "nu": nu,
                 "N": _label_n(big_n),
@@ -456,8 +486,8 @@ def cmd_encode_check(cfg: RunConfig) -> int:
             raise UsageError("--levels expects whole numbers between 1 and 6")
         levels.append(int(lv))
     scales = _parse_floats(cfg.params.get("delta_theta"), "--delta-theta")
-    if len(scales) < 2:
-        raise UsageError("encode-check needs at least two --delta-theta values")
+    if len(set(scales)) < 2:
+        raise UsageError("encode-check needs at least two distinct --delta-theta values")
     if any(s <= 0 for s in scales):
         raise UsageError("--delta-theta values must be positive")
     correlated = not cfg.params.get("independent", False)
@@ -504,12 +534,12 @@ def cmd_encode_check(cfg: RunConfig) -> int:
 
 def cmd_parity(cfg: RunConfig) -> int:
     """Logical recovery probability over a herald-rate grid."""
-    n = cfg.params.get("n")
-    q = cfg.params.get("q")
+    n = _parse_int(cfg.params.get("n"), "--n")
+    q = _parse_int(cfg.params.get("q"), "--q")
     if not n or not q:
         raise UsageError("parity needs --n and --q")
     try:
-        code = ParityCode(int(n), int(q))
+        code = ParityCode(n, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     ps = _parse_floats(cfg.params.get("p"), "--p")

@@ -104,14 +104,6 @@ class PhotonicState:
     def scaled(self, factor: complex) -> "PhotonicState":
         return PhotonicState(self.num_modes, {k: a * factor for k, a in self._amps.items()})
 
-    def with_num_modes(self, num_modes: int) -> "PhotonicState":
-        """Reinterpret over a larger mode register (added modes in vacuum)."""
-        if num_modes < self.num_modes:
-            for occ in self._amps:
-                if any(i >= num_modes for i in occ):
-                    raise ValueError("state has support outside the new register")
-        return PhotonicState(num_modes, dict(self._amps))
-
     def restricted(self, modes) -> "PhotonicState":
         """Relabel onto the sub-register ``modes`` (state must be supported there)."""
         modes = list(modes)

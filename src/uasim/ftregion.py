@@ -13,11 +13,10 @@ ships with the package.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -31,20 +30,9 @@ __all__ = [
     "is_fault_tolerant",
     "sweep_region",
     "best_n",
-    "write_sweep_csv",
     "load_synthetic_curve",
     "synthetic_curve_path",
 ]
-
-SWEEP_COLUMNS = (
-    "epsilon",
-    "gamma",
-    "N",
-    "effective_error",
-    "effective_loss",
-    "fault_tolerant",
-)
-
 
 class CurveFormatError(ValueError):
     """Raised for unreadable or inconsistent threshold-curve data."""
@@ -222,23 +210,6 @@ def best_n(
         if is_fault_tolerant(RegionQuery(epsilon, gamma, n), curve):
             return n
     return None
-
-
-def write_sweep_csv(points: Iterable[SweepPoint], fh: IO[str]) -> None:
-    """Emit the sweep table; floats carry 17 significant digits."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for p in points:
-        writer.writerow(
-            [
-                format(p.epsilon, ".17g"),
-                format(p.gamma, ".17g"),
-                p.num_copies,
-                format(p.effective_error, ".17g"),
-                format(p.effective_loss, ".17g"),
-                "true" if p.fault_tolerant else "false",
-            ]
-        )
 
 
 def synthetic_curve_path():

@@ -11,7 +11,7 @@ with per-path parameter counts 2 and 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,19 +19,14 @@ from scipy.special import ndtri
 __all__ = [
     "GateParams",
     "NoiseSpec",
-    "SampledParams",
     "FusionParams",
     "FourModeParams",
-    "CircuitNoiseProfile",
     "GATE_DEPTHS",
     "named_gate",
     "single_qubit_matrix",
     "sample_deltas",
-    "sample_noisy",
     "fusion_type2_matrix",
     "four_mode_matrix",
-    "splitter",
-    "SWAP_2_4",
 ]
 
 # Per-path noisy-parameter counts for the gate families.
@@ -47,9 +42,6 @@ class GateParams:
     phi2: float
     chi1: float
     chi2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.phi1, self.phi2, self.chi1, self.chi2])
 
 
 _NAMED = {
@@ -78,17 +70,32 @@ def named_gate(name: str, alpha: float | None = None) -> GateParams:
         raise ValueError(f"unknown gate {name!r}; choose from I, X, Y, Z, H") from None
 
 
-def single_qubit_matrix(p: GateParams) -> np.ndarray:
-    """2x2 dual-rail matrix of the five-parameter gate (unitary for all real angles)."""
-    s, c = np.sin(p.theta), np.cos(p.theta)
-    e_p1, e_p2 = np.exp(1j * p.phi1), np.exp(1j * p.phi2)
-    e_c1, e_c2 = np.exp(1j * p.chi1), np.exp(1j * p.chi2)
-    return np.array(
-        [
-            [e_p1 * e_c1 * s, e_p2 * e_c1 * c],
-            [e_p1 * e_c2 * c, -e_p2 * e_c2 * s],
-        ]
-    )
+def single_qubit_matrix(p: GateParams, deltas: np.ndarray | None = None) -> np.ndarray:
+    """2x2 dual-rail matrix of the five-parameter gate (unitary for all real angles).
+
+    ``deltas`` of shape (..., 5) offsets (theta, phi1, phi2, chi1, chi2) and
+    gives the stack of noisy matrices, shape deltas.shape[:-1] + (2, 2); the
+    scalar gate is the empty batch.
+    """
+    if deltas is None:
+        deltas = np.zeros(5)
+    lead = deltas.shape[:-1]
+    # Keep a batch axis even for one gate: numpy rounds a product of complex
+    # scalars differently from its array loops, and the empty batch must
+    # match every row of a longer one bit for bit.
+    d = deltas if lead else deltas[None]
+    th = p.theta + d[..., 0]
+    s, c = np.sin(th), np.cos(th)
+    e1 = np.exp(1j * (p.phi1 + d[..., 1]))
+    e2 = np.exp(1j * (p.phi2 + d[..., 2]))
+    f1 = np.exp(1j * (p.chi1 + d[..., 3]))
+    f2 = np.exp(1j * (p.chi2 + d[..., 4]))
+    m = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = e1 * f1 * s
+    m[..., 0, 1] = e2 * f1 * c
+    m[..., 1, 0] = e1 * f2 * c
+    m[..., 1, 1] = -e2 * f2 * s
+    return m.reshape(lead + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -163,51 +170,9 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-@dataclass(frozen=True)
-class SampledParams:
-    """A noisy realization of a single-qubit gate: base angles plus offsets."""
-
-    base: GateParams
-    deltas: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if np.shape(self.deltas) != (5,):
-            raise ValueError("expected five parameter offsets")
-
-    @property
-    def params(self) -> GateParams:
-        t, p1, p2, c1, c2 = self.base.as_array() + np.asarray(self.deltas)
-        return GateParams(t, p1, p2, c1, c2)
-
-    def matrix(self) -> np.ndarray:
-        return single_qubit_matrix(self.params)
-
-
-def sample_noisy(base: GateParams, noise: NoiseSpec, rng: np.random.Generator) -> SampledParams:
-    """One noisy unit: independent offsets on all five parameters."""
-    return SampledParams(base, sample_deltas(noise, (5,), rng))
-
-
 # ---------------------------------------------------------------------------
 # two-qubit networks
 # ---------------------------------------------------------------------------
-
-# Mode swap 2<->4 (0-based: 1<->3), the parameter-free crossing shared by both
-# four-mode constructions.
-SWAP_2_4 = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
-
-
-def splitter(theta: float) -> np.ndarray:
-    """Real 2x2 splitter [[sin, cos], [cos, -sin]]; 50:50 at theta = pi/4."""
-    s, c = np.sin(theta), np.cos(theta)
-    return np.array([[s, c], [c, -s]])
 
 
 @dataclass(frozen=True)
@@ -219,23 +184,42 @@ class FusionParams:
     theta3: float = math.pi / 4
     theta4: float = math.pi / 4
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.theta3, self.theta4])
 
-
-def fusion_type2_matrix(p: FusionParams) -> np.ndarray:
+def fusion_type2_matrix(
+    p: FusionParams = FusionParams(), deltas: np.ndarray | None = None
+) -> np.ndarray:
     """Type-II fusion network: splitters (theta1 on modes 1,2; theta2 on 3,4),
     swap of modes 2,4, then splitters (theta3 on 1,2; theta4 on 3,4).
 
-    Each input-output path crosses exactly two splitter angles.
+    Each splitter is the real [[sin, cos], [cos, -sin]], 50:50 at pi/4, and
+    each input-output path crosses exactly two splitter angles.  ``deltas``
+    of shape (..., 4) offsets the four angles and gives the stack of noisy
+    matrices, shape deltas.shape[:-1] + (4, 4).
     """
-    pre = np.zeros((4, 4))
-    pre[:2, :2] = splitter(p.theta1)
-    pre[2:, 2:] = splitter(p.theta2)
-    post = np.zeros((4, 4))
-    post[:2, :2] = splitter(p.theta3)
-    post[2:, 2:] = splitter(p.theta4)
-    return post @ SWAP_2_4 @ pre
+    if deltas is None:
+        deltas = np.zeros(4)
+    t = np.array([p.theta1, p.theta2, p.theta3, p.theta4]) + deltas
+    s, c = np.sin(t), np.cos(t)
+    s1, s2, s3, s4 = (s[..., i] for i in range(4))
+    c1, c2, c3, c4 = (c[..., i] for i in range(4))
+    m = np.empty(deltas.shape[:-1] + (4, 4))
+    m[..., 0, 0] = s1 * s3
+    m[..., 0, 1] = c1 * s3
+    m[..., 0, 2] = c2 * c3
+    m[..., 0, 3] = -s2 * c3
+    m[..., 1, 0] = s1 * c3
+    m[..., 1, 1] = c1 * c3
+    m[..., 1, 2] = -c2 * s3
+    m[..., 1, 3] = s2 * s3
+    m[..., 2, 0] = c1 * c4
+    m[..., 2, 1] = -s1 * c4
+    m[..., 2, 2] = s2 * s4
+    m[..., 2, 3] = c2 * s4
+    m[..., 3, 0] = -c1 * s4
+    m[..., 3, 1] = s1 * s4
+    m[..., 3, 2] = s2 * c4
+    m[..., 3, 3] = c2 * c4
+    return m
 
 
 @dataclass(frozen=True)
@@ -261,40 +245,24 @@ class FourModeParams:
         return (self.block_a, self.block_b, self.block_c, self.block_d)
 
 
-def four_mode_matrix(p: FourModeParams) -> np.ndarray:
-    pre = np.zeros((4, 4), dtype=complex)
-    pre[:2, :2] = single_qubit_matrix(p.block_a)
-    pre[2:, 2:] = single_qubit_matrix(p.block_b)
-    post = np.zeros((4, 4), dtype=complex)
-    post[:2, :2] = single_qubit_matrix(p.block_c)
-    post[2:, 2:] = single_qubit_matrix(p.block_d)
-    return post @ SWAP_2_4 @ pre
+def four_mode_matrix(
+    p: FourModeParams = FourModeParams(), deltas: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix of the four-mode gate.
 
-
-@dataclass(frozen=True)
-class CircuitNoiseProfile:
-    """Pairs a per-path parameter count with a per-parameter variance.
-
-    The characteristic first-order noise of the circuit is V = depth * variance,
-    the quantity entering the generic first-order success/fidelity laws.
+    ``deltas`` of shape (..., 4, 5) offsets the five parameters of blocks
+    A..D and gives the stack of noisy matrices, shape deltas.shape[:-2] + (4, 4).
     """
-
-    depth: int
-    variance: float
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
-
-    @property
-    def characteristic_noise(self) -> float:
-        return self.depth * self.variance
-
-    @classmethod
-    def for_family(cls, family: str, variance: float) -> "CircuitNoiseProfile":
-        try:
-            return cls(GATE_DEPTHS[family], variance)
-        except KeyError:
-            raise ValueError(f"unknown gate family {family!r}") from None
+    if deltas is None:
+        deltas = np.zeros((4, 5))
+    lead = deltas.shape[:-2]
+    d = deltas if lead else deltas[None]  # one batch axis, as in single_qubit_matrix
+    blocks = [single_qubit_matrix(b, d[..., i, :]) for i, b in enumerate(p.blocks())]
+    pre = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
+    pre[..., 0:2, 0:2] = blocks[0]
+    pre[..., 2:4, 2:4] = blocks[1]
+    post = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
+    post[..., 0:2, 0:2] = blocks[2]
+    post[..., 2:4, 2:4] = blocks[3]
+    # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1)
+    return (post @ pre[..., (0, 3, 2, 1), :]).reshape(lead + (4, 4))

@@ -10,11 +10,13 @@ estimate invariant under permutations of the chunk order.
 
 Estimators
 ----------
-``estimate_ps``          success probability of the averaged single-qubit gate
-``estimate_fidelity``    success probability plus conditional fidelity
+``estimate_fidelity``    success probability and conditional fidelity of the
+                         averaged single-qubit gate
 ``estimate_end_to_end``  the same quantities through the full splitter tree
 ``estimate_fusion``      per-photon and two-photon measures of averaged fusion
-``variant_discrimination``  grid scan that ranks the published second-order laws
+``grid_estimates``       ``estimate_fidelity`` over a (nu, N) grid, one derived
+                         seed per point
+``discriminate``         ranks the published second-order laws on grid points
 
 Fidelity is reported two ways and the two are NOT interchangeable:
 ``ratio_of_means`` (|mean amplitude|^2 over mean success probability, the
@@ -35,9 +37,9 @@ from .averaging import EncoderNoise, build_tree, num_splitter_deltas, success_br
 from .fock import PhotonicState
 from .formulas import SINGLE_QUBIT_VARIANTS, success_prob_single
 from .gates import (
-    FusionParams,
     GateParams,
     NoiseSpec,
+    four_mode_matrix,
     fusion_type2_matrix,
     named_gate,
     sample_deltas,
@@ -49,16 +51,12 @@ __all__ = [
     "FidelityEstimate",
     "GateRunResult",
     "FusionRunResult",
-    "estimate_ps",
     "estimate_fidelity",
     "estimate_end_to_end",
     "estimate_fusion",
-    "variant_discrimination",
     "discriminate",
     "grid_estimates",
     "derive_point_seed",
-    "DEFAULT_GRID_NUS",
-    "DEFAULT_GRID_COPIES",
 ]
 
 DEFAULT_CHUNK = 65536
@@ -146,7 +144,7 @@ def _point_estimate(sums: _ChunkSums, n: int, key: str, shift: float) -> McEstim
 
 
 # ---------------------------------------------------------------------------
-# batched gate construction
+# batched gate output
 # ---------------------------------------------------------------------------
 
 
@@ -164,67 +162,6 @@ def _batched_single_qubit_out(
     out0 = np.exp(1j * (base.chi1 + deltas[..., 3])) * (s * u + c * v)
     out1 = np.exp(1j * (base.chi2 + deltas[..., 4])) * (c * u - s * v)
     return out0, out1
-
-
-def _batched_single_qubit_matrix(base: GateParams, deltas: np.ndarray) -> np.ndarray:
-    """Stack of noisy gate matrices, shape deltas.shape[:-1] + (2, 2)."""
-    th = base.theta + deltas[..., 0]
-    s, c = np.sin(th), np.cos(th)
-    e1 = np.exp(1j * (base.phi1 + deltas[..., 1]))
-    e2 = np.exp(1j * (base.phi2 + deltas[..., 2]))
-    f1 = np.exp(1j * (base.chi1 + deltas[..., 3]))
-    f2 = np.exp(1j * (base.chi2 + deltas[..., 4]))
-    m = np.empty(deltas.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = e1 * f1 * s
-    m[..., 0, 1] = e2 * f1 * c
-    m[..., 1, 0] = e1 * f2 * c
-    m[..., 1, 1] = -e2 * f2 * s
-    return m
-
-
-def _batched_type2_matrix(deltas: np.ndarray) -> np.ndarray:
-    """Noisy Type-II fusion matrices from angle offsets of shape (..., 4)."""
-    t = math.pi / 4 + deltas
-    s, c = np.sin(t), np.cos(t)
-    s1, s2, s3, s4 = (s[..., i] for i in range(4))
-    c1, c2, c3, c4 = (c[..., i] for i in range(4))
-    m = np.empty(deltas.shape[:-1] + (4, 4))
-    m[..., 0, 0] = s1 * s3
-    m[..., 0, 1] = c1 * s3
-    m[..., 0, 2] = c2 * c3
-    m[..., 0, 3] = -s2 * c3
-    m[..., 1, 0] = s1 * c3
-    m[..., 1, 1] = c1 * c3
-    m[..., 1, 2] = -c2 * s3
-    m[..., 1, 3] = s2 * s3
-    m[..., 2, 0] = c1 * c4
-    m[..., 2, 1] = -s1 * c4
-    m[..., 2, 2] = s2 * s4
-    m[..., 2, 3] = c2 * s4
-    m[..., 3, 0] = -c1 * s4
-    m[..., 3, 1] = s1 * s4
-    m[..., 3, 2] = s2 * c4
-    m[..., 3, 3] = c2 * c4
-    return m
-
-
-def _batched_four_mode_matrix(deltas: np.ndarray) -> np.ndarray:
-    """Noisy four-mode gate matrices from block offsets of shape (..., 4, 5).
-
-    Blocks at the 50:50 zero-phase operating point; the ideal matrix equals
-    the Type-II network with all splitters at pi/4.
-    """
-    h = named_gate("H")
-    blocks = [_batched_single_qubit_matrix(h, deltas[..., i, :]) for i in range(4)]
-    lead = deltas.shape[:-2]
-    pre = np.zeros(lead + (4, 4), dtype=complex)
-    pre[..., 0:2, 0:2] = blocks[0]
-    pre[..., 2:4, 2:4] = blocks[1]
-    post = np.zeros(lead + (4, 4), dtype=complex)
-    post[..., 0:2, 0:2] = blocks[2]
-    post[..., 2:4, 2:4] = blocks[3]
-    # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1)
-    return post @ pre[..., (0, 3, 2, 1), :]
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +243,6 @@ def _unit_vector(input_state: Sequence[complex], dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def estimate_ps(
-    nu: float,
-    num_copies: int,
-    samples: int,
-    *,
-    seed: int,
-    gate: GateParams | None = None,
-    input_state: Sequence[complex] = (1.0, 0.0),
-    kind: str = "gaussian",
-    fourth_moment: float | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> McEstimate:
-    """Success probability of averaging N noisy single-qubit copies."""
-    if num_copies < 1:
-        raise ValueError("num_copies must be at least 1")
-    base = gate if gate is not None else named_gate("I")
-    noise = _noise_spec(nu, kind, fourth_moment)
-    psi = _unit_vector(input_state, 2)
-    sums = _ChunkSums()
-    for idx, count in _iter_chunks(samples, chunk_size):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
-        deltas = sample_deltas(noise, (count, num_copies, 5), rng)
-        out0, out1 = _batched_single_qubit_out(base, deltas, psi)
-        m0 = out0.mean(axis=1)
-        m1 = out1.mean(axis=1)
-        p = np.abs(m0) ** 2 + np.abs(m1) ** 2
-        q = p - 1.0
-        sums.add(p=np.sum(q), pp=np.sum(q * q))
-    return _point_estimate(sums, samples, "p", 1.0)
-
-
 def estimate_fidelity(
     nu: float,
     num_copies: int,
@@ -407,7 +313,7 @@ def estimate_end_to_end(
     for idx, count in _iter_chunks(samples, chunk_size):
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
-        gates_mat = _batched_single_qubit_matrix(base, deltas)
+        gates_mat = single_qubit_matrix(base, deltas)
         if n_deltas:
             srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
             enc = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
@@ -454,7 +360,7 @@ def estimate_fusion(
     if kind is None:
         kind = "four-moment" if layout == "type2" else "gaussian"
     noise = _noise_spec(nu, kind, fourth_moment)
-    ideal = fusion_type2_matrix(FusionParams())
+    ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[single_photon_mode] = 1.0
     target1 = ideal @ psi
@@ -467,10 +373,10 @@ def estimate_fusion(
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         if layout == "type2":
             deltas = sample_deltas(noise, (count, num_copies, 4), rng)
-            mats = _batched_type2_matrix(deltas)
+            mats = fusion_type2_matrix(deltas=deltas)
         else:
             deltas = sample_deltas(noise, (count, num_copies, 4, 5), rng)
-            mats = _batched_four_mode_matrix(deltas)
+            mats = four_mode_matrix(deltas=deltas)
         avg = mats.mean(axis=1)
         out1 = avg @ psi
         p1 = np.sum(np.abs(out1) ** 2, axis=1)
@@ -489,10 +395,6 @@ def estimate_fusion(
 # ---------------------------------------------------------------------------
 # second-order variant discrimination
 # ---------------------------------------------------------------------------
-
-DEFAULT_GRID_NUS = (0.005, 0.01, 0.02)
-DEFAULT_GRID_COPIES = (2, 4, 8, 16)
-
 
 def _shared_first_order(nu: float, big_n: float) -> float:
     return 1.0 - 3.0 * nu + 3.0 * nu / big_n
@@ -568,76 +470,35 @@ def grid_estimates(
     seed: int,
     gate: GateParams | None = None,
     kind: str = "gaussian",
-    with_fidelity: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[dict]:
-    """Success-probability estimates over the (nu, N) product grid.
+    """Success probability and ratio-of-means fidelity over the (nu, N) grid.
 
     Every grid point gets its own derived seed, so the estimates are
-    independent across points yet fully reproducible from ``seed``.  With
-    ``with_fidelity`` each point also carries the ratio-of-means conditional
-    fidelity; the success-probability numbers are bit-identical either way
-    because both estimators draw from the same substreams.
+    independent across points yet fully reproducible from ``seed``.
     """
     points = []
     for i, (nu, big_n) in enumerate(product(nus, copies)):
-        point_seed = derive_point_seed(seed, i)
-        if with_fidelity:
-            run = estimate_fidelity(
-                nu,
-                big_n,
-                samples_per_point,
-                seed=point_seed,
-                gate=gate,
-                kind=kind,
-                chunk_size=chunk_size,
-            )
-            est = run.success_prob
-        else:
-            est = estimate_ps(
-                nu,
-                big_n,
-                samples_per_point,
-                seed=point_seed,
-                gate=gate,
-                kind=kind,
-                chunk_size=chunk_size,
-            )
-        record = {
-            "nu": nu,
-            "num_copies": big_n,
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "samples": est.samples,
-        }
-        if with_fidelity:
-            rom = run.fidelity.ratio_of_means
-            record["fidelity"] = rom.mean
-            record["fidelity_stderr"] = rom.stderr
-        points.append(record)
+        run = estimate_fidelity(
+            nu,
+            big_n,
+            samples_per_point,
+            seed=derive_point_seed(seed, i),
+            gate=gate,
+            kind=kind,
+            chunk_size=chunk_size,
+        )
+        est = run.success_prob
+        rom = run.fidelity.ratio_of_means
+        points.append(
+            {
+                "nu": nu,
+                "num_copies": big_n,
+                "mean": est.mean,
+                "stderr": est.stderr,
+                "samples": est.samples,
+                "fidelity": rom.mean,
+                "fidelity_stderr": rom.stderr,
+            }
+        )
     return points
-
-
-def variant_discrimination(
-    samples_per_point: int,
-    *,
-    seed: int,
-    nus: Sequence[float] = DEFAULT_GRID_NUS,
-    copies: Sequence[int] = DEFAULT_GRID_COPIES,
-    gate: GateParams | None = None,
-    kind: str = "gaussian",
-    chunk_size: int = DEFAULT_CHUNK,
-) -> dict:
-    """Run the discrimination grid end to end and return the report dict."""
-    points = grid_estimates(
-        nus, copies, samples_per_point,
-        seed=seed, gate=gate, kind=kind, chunk_size=chunk_size,
-    )
-    report = discriminate(points)
-    for raw, row in zip(points, report["points"]):
-        row["mean"] = raw["mean"]
-        row["mean_stderr"] = raw["stderr"]
-        row["samples"] = raw["samples"]
-    report["seed"] = seed
-    report["samples_per_point"] = samples_per_point
-    return report

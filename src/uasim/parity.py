@@ -35,7 +35,6 @@ __all__ = [
     "success_criteria",
     "logical_success_prob",
     "enumerate_success_prob",
-    "ua_qubit_channel",
     "branch_amplitudes",
     "parity_block_state",
     "encoded_state",
@@ -242,28 +241,6 @@ def _contract_all(rows: Sequence[np.ndarray], block: np.ndarray) -> complex:
     for row in rows:
         out = np.tensordot(row, out, axes=([0], [0]))
     return complex(out)
-
-
-def ua_qubit_channel(
-    herald: bool,
-    u_target: np.ndarray,
-    branch: HeraldAmplitudes | None,
-    state: np.ndarray,
-) -> np.ndarray:
-    """One physical qubit through an averaged gate, unnormalized.
-
-    No herald applies the target gate.  A herald scales the rails by
-    (+delta_h, -delta_v); summing the two entries afterwards gives the
-    amplitude on the monitored error mode.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2,):
-        raise ValueError("expected a dual-rail qubit state")
-    if not herald:
-        return np.asarray(u_target, dtype=complex) @ state
-    if branch is None:
-        raise ValueError("a heralded qubit needs branch amplitudes")
-    return np.array([branch.delta_h * state[0], -branch.delta_v * state[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from uasim.averaging import (
-    AveragingConfig,
     EncodedCircuit,
     EncoderNoise,
     averaged_operator,
@@ -106,7 +105,6 @@ def test_single_copy_tree_is_the_gate_itself():
 def test_splitter_layer_count(num_copies, layers):
     circ = build_tree([np.eye(2)] * num_copies)
     assert circ.splitter_layers == layers
-    assert AveragingConfig(num_copies).num_layers == layers // 2
 
 
 def test_mode_bookkeeping():

@@ -87,6 +87,60 @@ def test_analytic_usage_errors(run, argv):
     assert err.startswith("uasim:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc", "--nu", "nan", "--big-n", "2", "--samples", "100", "--seed", "1"),
+        ("mc", "--nu", "inf", "--big-n", "2", "--samples", "100", "--seed", "1"),
+        ("mc", "--nu", "-0.1", "--big-n", "2", "--samples", "100", "--seed", "1"),
+        ("mc", "--family", "type2", "--nu", "-0.1", "--big-n", "2", "--samples", "100",
+         "--seed", "1"),
+        ("analytic", "--formula", "ps-single", "--nu", "nan", "--big-n", "2"),
+        ("encode-check", "--levels", "nan", "--delta-theta", "1e-3,1e-4", "--seed", "5"),
+        ("encode-check", "--levels", "1", "--delta-theta", "inf,1e-3", "--seed", "5"),
+        ("encode-check", "--levels", "1", "--delta-theta", "1e-3,1e-4", "--seed", "5",
+         "--gate", "Z", "--alpha", "nan"),
+    ],
+    ids=[
+        "mc-nu-nan", "mc-nu-inf", "mc-nu-negative", "mc-type2-nu-negative",
+        "analytic-nu-nan", "encode-levels-nan", "encode-delta-inf", "encode-alpha-nan",
+    ],
+)
+def test_bad_numbers_are_usage_errors(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert err.startswith("uasim:")
+    assert "internal error" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "config, flag",
+    [
+        ({"subcommand": "mc", "nu": ["0.01"], "big_n": ["2"], "samples": 100,
+          "seed": True}, "--seed"),
+        ({"subcommand": "mc", "nu": ["0.01"], "big_n": ["2"], "samples": 100.7,
+          "seed": 1}, "--samples"),
+        ({"subcommand": "parity", "n": 2.5, "q": 2, "p": ["0.1"]}, "--n"),
+    ],
+    ids=["seed-bool", "samples-fraction", "parity-n-fraction"],
+)
+def test_config_integer_fields_reject_bools_and_fractions(run, tmp_path, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(config["subcommand"], "--config", str(cfg))
+    assert code == 2
+    assert flag in err
+    assert out == ""
+
+
+def test_config_integer_fields_accept_integral_floats(run, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "parity", "n": 2.0, "q": 2, "p": ["0.1"]}))
+    from_config = run("parity", "--config", str(cfg))
+    assert from_config == run("parity", "--n", "2", "--q", "2", "--p", "0.1")
+
+
 # ---------------------------------------------------------------------------
 # mc
 # ---------------------------------------------------------------------------
@@ -137,6 +191,8 @@ def test_mc_discrimination_comment_and_report(run, tmp_path):
     report = json.loads(report_path.read_text())
     assert set(report["chi_square"]) == {"main", "second-order", "fourth-order"}
     assert report["selected"] in report["chi_square"]
+    assert report["seed"] == 3
+    assert report["samples_per_point"] == 2000
     assert len(report["points"]) == 3
 
 
@@ -161,6 +217,48 @@ def test_mc_fusion_families(run):
         # single unitary copy: success is certain up to rounding
         first = out.splitlines()[1].split(",")
         assert float(first[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+# One small run per family at a fixed seed, pinned to the printed values so
+# that a change to the random stream or to the per-sample arithmetic shows.
+# rel 1e-12 leaves room for libm ulps across platforms; a different stream
+# moves these numbers by about 1e-3.
+MC_GOLDEN = {
+    "single-qubit": (
+        "nu,N,samples,mc_mean,mc_stderr,mc_fidelity,mc_fidelity_stderr,"
+        "main,second_order,fourth_order",
+        "0.01,4,4096,0.97782034586825783,0.00020871986810515171,0.99249482448938697,"
+        "0.00012130350430060143,0.97783749999999992,0.9778,0.97779740890624978",
+    ),
+    "type2": (
+        "nu,N,samples,mc_mean,mc_stderr,mc_pair_mean,mc_pair_stderr,main,alt",
+        "0.01,4,4096,0.98505967163885788,5.8148461268331704e-05,0.97043721725509824,"
+        "9.3623416058563817e-05,0.98514999999999997,0.98512499999999992",
+    ),
+    "four-mode": (
+        "nu,N,samples,mc_mean,mc_stderr,mc_pair_mean,mc_pair_stderr,analytic",
+        "0.01,4,4096,0.95638246007648076,0.00026163637611850932,0.9148648422329293,"
+        "0.00036794691261715293,0.95668750000000002",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MC_GOLDEN))
+def test_mc_golden_row(run, family):
+    code, out, _ = run(
+        "mc", "--family", family, "--nu", "0.01", "--big-n", "4",
+        "--samples", "4096", "--seed", "7",
+    )
+    assert code == 0
+    header, row = MC_GOLDEN[family]
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 2
+    got, want = lines[1].split(","), row.split(",")
+    assert got[:3] == want[:3]
+    assert [float(v) for v in got[3:]] == pytest.approx(
+        [float(v) for v in want[3:]], rel=1e-12, abs=0
+    )
 
 
 def test_mc_rejects_non_power_of_two(run):
@@ -195,8 +293,14 @@ def test_encode_check_validates_levels(run):
 
 
 def test_encode_check_needs_two_offsets(run):
-    code, _, _ = run("encode-check", "--levels", "1", "--delta-theta", "1e-3", "--seed", "5")
-    assert code == 2
+    # a repeated offset gives no second point to fit a slope through
+    for offsets in ("1e-3", "1e-3,1e-3"):
+        code, out, err = run(
+            "encode-check", "--levels", "1", "--delta-theta", offsets, "--seed", "5"
+        )
+        assert code == 2
+        assert "two distinct --delta-theta" in err
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,16 @@ import math
 
 import pytest
 
+from uasim.cli import main as cli_main
 from uasim.formulas import effective_rates
 from uasim.ftregion import (
     CurveFormatError,
     RegionQuery,
-    SweepPoint,
     ThresholdCurve,
     best_n,
     is_fault_tolerant,
     load_synthetic_curve,
     sweep_region,
-    write_sweep_csv,
 )
 
 # A flat curve makes verdicts easy to reason about by hand.
@@ -167,16 +166,17 @@ def test_sweep_region_order_and_content():
         )
 
 
-def test_write_sweep_csv_format():
-    buf = io.StringIO()
-    write_sweep_csv(
-        [SweepPoint(1e-3, 2e-3, 2, 0.0005, 0.004, True)],
-        buf,
-    )
-    lines = buf.getvalue().splitlines()
+def test_write_sweep_csv_format(capsys):
+    """The sweep table is written by ``uasim ft-region``."""
+    assert cli_main(
+        ["ft-region", "--epsilon", "1e-3", "--gamma", "2e-3", "--big-n", "2"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "epsilon,gamma,N,effective_error,effective_loss,fault_tolerant"
     # floats carry 17 significant digits so a rerun reproduces them bitwise
+    (p,) = sweep_region([1e-3], [2e-3], [2], load_synthetic_curve())
     assert lines[1] == (
-        "0.001,0.002,2,0.00050000000000000001,0.0040000000000000001,true"
+        f"0.001,0.002,2,{p.effective_error:.17g},{p.effective_loss:.17g},true"
     )
+    assert (p.effective_error, p.effective_loss) == effective_rates(1e-3, 2e-3, 2)
     assert all(float(f) == v for f, v in zip(lines[1].split(",")[:2], (1e-3, 2e-3)))

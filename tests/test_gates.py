@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from uasim.gates import (
     GATE_DEPTHS,
-    SWAP_2_4,
-    CircuitNoiseProfile,
     FourModeParams,
     FusionParams,
     GateParams,
@@ -17,9 +15,7 @@ from uasim.gates import (
     fusion_type2_matrix,
     named_gate,
     sample_deltas,
-    sample_noisy,
     single_qubit_matrix,
-    splitter,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -68,12 +64,15 @@ def test_single_qubit_matrix_is_unitary_for_any_angles(angles):
 @settings(max_examples=30, derandomize=True)
 @given(st.floats(-10, 10))
 def test_splitter_is_orthogonal(theta):
-    b = splitter(theta)
-    np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-12)
+    # with every phase at zero the gate is the bare splitter [[sin, cos], [cos, -sin]]
+    b = single_qubit_matrix(GateParams(theta, 0.0, 0.0, 0.0, 0.0))
+    assert not b.imag.any()
+    np.testing.assert_allclose(b.real.T @ b.real, np.eye(2), atol=1e-12)
 
 
 def test_splitter_balanced_point_is_hadamard():
-    np.testing.assert_allclose(splitter(math.pi / 4), NAMED_MATRICES["H"], atol=1e-15)
+    b = single_qubit_matrix(GateParams(math.pi / 4, 0.0, 0.0, 0.0, 0.0))
+    np.testing.assert_allclose(b, NAMED_MATRICES["H"], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +128,6 @@ def test_two_point_distribution_is_pure_sign_flip():
     np.testing.assert_allclose(np.abs(d), math.sqrt(nu), atol=1e-15)
 
 
-def test_sample_noisy_shifts_all_five_angles():
-    base = named_gate("H")
-    sp = sample_noisy(base, NoiseSpec.gaussian(0.01), np.random.default_rng(5))
-    assert sp.deltas.shape == (5,)
-    np.testing.assert_allclose(sp.params.as_array(), base.as_array() + sp.deltas)
-    # the realization is still a unitary gate
-    m = sp.matrix()
-    np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # two-qubit networks
 # ---------------------------------------------------------------------------
@@ -164,6 +153,19 @@ def test_fusion_matrix_product_form_matches_explicit_entries():
             ]
         )
         np.testing.assert_allclose(m, expected, atol=1e-14)
+        # and the layered product: splitters, swap of modes 2 and 4, splitters
+        swap = np.eye(4)[[0, 3, 2, 1]]
+        np.testing.assert_allclose(
+            m, _splitter_layer(t3, t4) @ swap @ _splitter_layer(t1, t2), atol=1e-14
+        )
+
+
+def _splitter_layer(a, b):
+    """Real splitters [[sin, cos], [cos, -sin]] on modes (1, 2) and (3, 4)."""
+    out = np.zeros((4, 4))
+    for block, t in ((slice(0, 2), a), (slice(2, 4), b)):
+        out[block, block] = [[math.sin(t), math.cos(t)], [math.cos(t), -math.sin(t)]]
+    return out
 
 
 def test_fusion_at_quarter_pi_is_balanced_and_orthogonal():
@@ -174,7 +176,7 @@ def test_fusion_at_quarter_pi_is_balanced_and_orthogonal():
 
 def test_fusion_at_half_pi_reduces_to_the_mode_swap():
     m = fusion_type2_matrix(FusionParams(*(math.pi / 2,) * 4))
-    np.testing.assert_allclose(m, SWAP_2_4, atol=1e-15)
+    np.testing.assert_allclose(m, np.eye(4)[[0, 3, 2, 1]], atol=1e-15)
 
 
 def test_four_mode_gate_with_balanced_blocks_equals_fusion():
@@ -196,11 +198,46 @@ def test_path_parameter_counts():
     assert FourModeParams.PATH_PARAMS == 6
 
 
-def test_circuit_noise_profile():
-    prof = CircuitNoiseProfile.for_family("single-qubit", 0.01)
-    assert prof.characteristic_noise == pytest.approx(0.03)
-    assert CircuitNoiseProfile.for_family("four-mode", 0.005).characteristic_noise == pytest.approx(0.03)
-    with pytest.raises(ValueError):
-        CircuitNoiseProfile.for_family("ccz", 0.01)
-    with pytest.raises(ValueError):
-        CircuitNoiseProfile(0, 0.01)
+# ---------------------------------------------------------------------------
+# scalar gate = empty batch
+# ---------------------------------------------------------------------------
+
+
+def _random_single(rng):
+    return GateParams(*rng.uniform(-3, 3, size=5))
+
+
+SCALAR_AND_BATCHED = {
+    "single-qubit": (
+        single_qubit_matrix,
+        (5,),
+        [named_gate(g) for g in ("I", "X", "Y", "H")] + [named_gate("Z", 0.3)],
+        _random_single,
+    ),
+    "type2": (
+        fusion_type2_matrix,
+        (4,),
+        [FusionParams(), FusionParams(*(math.pi / 2,) * 4)],
+        lambda rng: FusionParams(*rng.uniform(0, 2 * math.pi, size=4)),
+    ),
+    "four-mode": (
+        four_mode_matrix,
+        (4, 5),
+        [FourModeParams(), FourModeParams(*(named_gate(g) for g in ("X", "Y", "H", "I")))],
+        lambda rng: FourModeParams(*(_random_single(rng) for _ in range(4))),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCALAR_AND_BATCHED))
+def test_scalar_builder_is_the_zero_delta_batch_bit_for_bit(family):
+    build, delta_shape, named, draw = SCALAR_AND_BATCHED[family]
+    rng = np.random.default_rng(31)
+    for p in named + [draw(rng) for _ in range(50)]:
+        single = build(p)
+        assert single.shape == ((2, 2) if family == "single-qubit" else (4, 4))
+        for lead in ((3,), (2, 3)):
+            stack = build(p, np.zeros(lead + delta_shape))
+            assert stack.shape == lead + single.shape
+            for idx in np.ndindex(*lead):
+                assert np.array_equal(stack[idx], single)

@@ -19,8 +19,6 @@ import pytest
 
 from uasim.gates import named_gate
 from uasim.montecarlo import (
-    DEFAULT_GRID_COPIES,
-    DEFAULT_GRID_NUS,
     _ChunkSums,
     _iter_chunks,
     derive_point_seed,
@@ -28,11 +26,13 @@ from uasim.montecarlo import (
     estimate_end_to_end,
     estimate_fidelity,
     estimate_fusion,
-    estimate_ps,
     grid_estimates,
-    variant_discrimination,
 )
 from uasim.formulas import success_prob_single
+
+# The (nu, N) grid of the variant-discrimination campaign.
+GRID_NUS = (0.005, 0.01, 0.02)
+GRID_COPIES = (2, 4, 8, 16)
 
 
 def exact_ps_single(nu, big_n):
@@ -53,14 +53,14 @@ def exact_ps_four_mode(nu, big_n):
 
 
 def test_same_seed_reproduces_bitwise():
-    a = estimate_ps(0.01, 4, 50_000, seed=101)
-    b = estimate_ps(0.01, 4, 50_000, seed=101)
+    a = estimate_fidelity(0.01, 4, 50_000, seed=101).success_prob
+    b = estimate_fidelity(0.01, 4, 50_000, seed=101).success_prob
     assert (a.mean, a.stderr, a.samples) == (b.mean, b.stderr, b.samples)
 
 
 def test_different_seeds_differ():
-    a = estimate_ps(0.01, 4, 50_000, seed=101)
-    b = estimate_ps(0.01, 4, 50_000, seed=102)
+    a = estimate_fidelity(0.01, 4, 50_000, seed=101).success_prob
+    b = estimate_fidelity(0.01, 4, 50_000, seed=102).success_prob
     assert a.mean != b.mean
 
 
@@ -79,8 +79,8 @@ def test_chunk_sums_are_order_invariant():
 def test_chunk_size_changes_stream_but_not_statistics():
     # chunk-keyed seeding: a different chunk size draws different numbers,
     # but the two estimates must agree statistically
-    a = estimate_ps(0.01, 4, 60_000, seed=5, chunk_size=65536)
-    b = estimate_ps(0.01, 4, 60_000, seed=5, chunk_size=7000)
+    a = estimate_fidelity(0.01, 4, 60_000, seed=5, chunk_size=65536).success_prob
+    b = estimate_fidelity(0.01, 4, 60_000, seed=5, chunk_size=7000).success_prob
     assert a.mean != b.mean
     assert abs(a.mean - b.mean) < 5 * math.hypot(a.stderr, b.stderr)
 
@@ -96,9 +96,9 @@ def test_iter_chunks_layout():
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        estimate_ps(0.01, 0, 100, seed=1)
+        estimate_fidelity(0.01, 0, 100, seed=1)
     with pytest.raises(ValueError):
-        estimate_ps(0.01, 2, 100, seed=1, input_state=(0.0, 0.0))
+        estimate_fidelity(0.01, 2, 100, seed=1, input_state=(0.0, 0.0))
     with pytest.raises(ValueError):
         estimate_end_to_end(0.01, 3, 100, seed=1)
     with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ def test_argument_validation():
 
 
 def test_zero_noise_is_deterministic_success():
-    est = estimate_ps(0.0, 4, 1_000, seed=3)
+    est = estimate_fidelity(0.0, 4, 1_000, seed=3).success_prob
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == 0.0
 
@@ -123,7 +123,7 @@ def test_zero_noise_is_deterministic_success():
 
 def test_single_copy_has_unit_success():
     # one unitary copy: nothing to herald, the "average" is the gate itself
-    est = estimate_ps(0.01, 1, 1_000, seed=3)
+    est = estimate_fidelity(0.01, 1, 1_000, seed=3).success_prob
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     fus = estimate_fusion(0.01, 1, 1_000, seed=3)
     assert fus.per_photon.success_prob.mean == pytest.approx(1.0, abs=1e-12)
@@ -136,19 +136,21 @@ def test_single_copy_has_unit_success():
 
 
 def test_single_qubit_success_matches_exact_average():
-    est = estimate_ps(0.01, 4, 200_000, seed=11)
+    est = estimate_fidelity(0.01, 4, 200_000, seed=11).success_prob
     assert abs(est.mean - exact_ps_single(0.01, 4)) < 5 * est.stderr
 
 
 def test_success_is_gate_and_input_independent():
     """The ensemble success probability does not depend on gate or input."""
-    est = estimate_ps(0.01, 4, 200_000, seed=12, gate=named_gate("H"), input_state=(0.6, 0.8))
+    est = estimate_fidelity(
+        0.01, 4, 200_000, seed=12, gate=named_gate("H"), input_state=(0.6, 0.8)
+    ).success_prob
     assert abs(est.mean - exact_ps_single(0.01, 4)) < 5 * est.stderr
 
 
 def test_uniform_noise_obeys_the_same_first_order_law():
     nu, big_n = 0.01, 4
-    est = estimate_ps(nu, big_n, 200_000, seed=13, kind="uniform")
+    est = estimate_fidelity(nu, big_n, 200_000, seed=13, kind="uniform").success_prob
     first_order = 1 - 3 * nu + 3 * nu / big_n
     assert abs(est.mean - first_order) < 10 * nu**2 + 5 * est.stderr
 
@@ -172,7 +174,7 @@ def test_four_mode_fusion_matches_exact_average():
 @pytest.mark.parametrize(
     "runner, depth, seed",
     [
-        (lambda nu, s: estimate_ps(nu, 2, 200_000, seed=s), 3, 16),
+        (lambda nu, s: estimate_fidelity(nu, 2, 200_000, seed=s).success_prob, 3, 16),
         (lambda nu, s: estimate_fusion(nu, 2, 60_000, seed=s).per_photon.success_prob, 2, 17),
         (
             lambda nu, s: estimate_fusion(nu, 2, 60_000, seed=s, layout="four-mode").per_photon.success_prob,
@@ -230,8 +232,8 @@ def test_tree_simulation_with_jittering_splitters_stays_close():
 
 def synthetic_grid(variant, stderr=1e-7):
     pts = []
-    for nu in DEFAULT_GRID_NUS:
-        for big_n in DEFAULT_GRID_COPIES:
+    for nu in GRID_NUS:
+        for big_n in GRID_COPIES:
             pts.append(
                 {
                     "nu": nu,
@@ -288,25 +290,18 @@ def test_grid_estimates_reproducible():
     b = grid_estimates([0.01], [2, 4], 10_000, **kwargs)
     assert a == b
     assert [pt["num_copies"] for pt in a] == [2, 4]
-    assert set(a[0]) == {"nu", "num_copies", "mean", "stderr", "samples"}
+    assert set(a[0]) == {
+        "nu", "num_copies", "mean", "stderr", "samples", "fidelity", "fidelity_stderr",
+    }
 
 
 def test_grid_with_fidelity_leaves_success_prob_bits_alone():
-    """Both estimators draw the same substreams, so asking for fidelity must
-    not move the success-probability numbers by even an ulp."""
-    plain = grid_estimates([0.02], [2], 4_000, seed=9)
-    rich = grid_estimates([0.02], [2], 4_000, seed=9, with_fidelity=True)
-    assert rich[0]["mean"] == plain[0]["mean"]
-    assert rich[0]["stderr"] == plain[0]["stderr"]
+    """Each grid point is one estimate_fidelity run on its derived seed, so
+    carrying the fidelity must not move the success-probability numbers by
+    even an ulp."""
+    rich = grid_estimates([0.02], [2], 4_000, seed=9)
     direct = estimate_fidelity(0.02, 2, 4_000, seed=derive_point_seed(9, 0))
+    assert rich[0]["mean"] == direct.success_prob.mean
+    assert rich[0]["stderr"] == direct.success_prob.stderr
     assert rich[0]["fidelity"] == direct.fidelity.ratio_of_means.mean
     assert rich[0]["fidelity_stderr"] == direct.fidelity.ratio_of_means.stderr
-
-
-def test_variant_discrimination_report_shape():
-    report = variant_discrimination(20_000, seed=31, nus=(0.01, 0.02), copies=(2, 4))
-    assert set(report["chi_square"]) == {"main", "second-order", "fourth-order"}
-    assert report["selected"] in report["chi_square"]
-    assert report["seed"] == 31
-    assert len(report["points"]) == 4
-    assert {"mean", "mean_stderr", "samples"} <= set(report["points"][0])

@@ -20,7 +20,6 @@ from uasim.parity import (
     parity_block_state,
     statevector_verify,
     success_criteria,
-    ua_qubit_channel,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -121,20 +120,6 @@ def test_herald_rate_from_averaging():
 # ---------------------------------------------------------------------------
 # herald branch algebra
 # ---------------------------------------------------------------------------
-
-
-def test_qubit_channel_without_herald_is_the_gate():
-    u = single_qubit_matrix(named_gate("H"))
-    psi = np.array([0.6, 0.8j])
-    np.testing.assert_allclose(ua_qubit_channel(False, u, None, psi), u @ psi)
-
-
-def test_qubit_channel_with_herald_scales_rails():
-    amp = HeraldAmplitudes(0.3 + 0.1j, 0.2j)
-    out = ua_qubit_channel(True, np.eye(2), amp, np.array([0.6, 0.8]))
-    np.testing.assert_allclose(out, [amp.delta_h * 0.6, -amp.delta_v * 0.8])
-    with pytest.raises(ValueError):
-        ua_qubit_channel(True, np.eye(2), None, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
