@@ -11,6 +11,7 @@ Modes are copy-major: mode = copy * rails + rail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,47 +138,57 @@ def num_splitter_deltas(num_copies: int, rails: int, correlated: bool) -> int:
     return n * (num_copies // 2) * per_pair
 
 
-def _layer_matrix(pairs, rails: int, total: int, thetas: np.ndarray) -> np.ndarray:
-    """One splitter layer; thetas has shape (len(pairs), rails)."""
-    m = np.eye(total)
-    for (a, b), th in zip(pairs, thetas):
-        for r in range(rails):
-            s, c = math.sin(th[r]), math.cos(th[r])
-            i, j = a * rails + r, b * rails + r
-            m[i, i] = s
-            m[i, j] = c
-            m[j, i] = c
-            m[j, j] = -s
-    return m
+@functools.cache
+def _splitter_slots(n: int, rails: int) -> np.ndarray:
+    """Flat slots of one tree side's splitter entries in (n, total, total).
+
+    Laid out [ii | ij | ji | jj] to receive (s, c, c, -s); each part runs
+    level-major, then pair, then rail, the order of the angle offsets.  Every
+    level pairs up every copy, so the slots cover each level's diagonal.
+    """
+    total = (1 << n) * rails
+    r = np.arange(rails)
+    i, j = [], []
+    for pairs in _tree_levels(n):
+        a, b = np.array(pairs).T
+        i.append((a[:, None] * rails + r).ravel())
+        j.append((b[:, None] * rails + r).ravel())
+    i, j = np.array(i), np.array(j)
+    base = (np.arange(n) * total * total)[:, None]
+    ii, ij = base + i * total + i, base + i * total + j
+    ji, jj = base + j * total + i, base + j * total + j
+    return np.concatenate([ii.ravel(), ij.ravel(), ji.ravel(), jj.ravel()])
 
 
-def _side_matrix(n, rails, total, deltas, correlated, mirrored):
-    levels = _tree_levels(n)
-    mats = []
-    pos = 0
-    for pairs in levels:
-        count = len(pairs) * (1 if correlated else rails)
-        block = np.asarray(deltas[pos : pos + count], dtype=float)
-        pos += count
-        if correlated:
-            thetas = math.pi / 4 + np.repeat(block, rails).reshape(len(pairs), rails)
-        else:
-            thetas = math.pi / 4 + block.reshape(len(pairs), rails)
-        mats.append(_layer_matrix(pairs, rails, total, thetas))
-    if mirrored:
+@functools.cache
+def _gate_slots(num_copies: int, rails: int) -> np.ndarray:
+    """Flat slots of the block-diagonal gate layer, in (copy, row, col) order."""
+    total = num_copies * rails
+    j, row, col = np.indices((num_copies, rails, rails)).reshape(3, -1)
+    return (j * rails + row) * total + j * rails + col
+
+
+def _side_matrix(n, rails, deltas, correlated, mirrored):
+    """Stacked splitter network of one tree side; deltas has shape (..., count)."""
+    total = (1 << n) * rails
+    lead = deltas.shape[:-1]
+    if correlated:
+        deltas = np.repeat(deltas, rails, axis=-1)
+    theta = math.pi / 4 + deltas
+    s, c = np.sin(theta), np.cos(theta)
+    layers = np.zeros(lead + (n * total * total,))
+    layers[..., _splitter_slots(n, rails)] = np.concatenate([s, c, c, -s], axis=-1)
+    layers = layers.reshape(lead + (n, total, total))
+    out = layers[..., 0, :, :]
+    for level in range(1, n):
+        m = layers[..., level, :, :]
         # decoder: innermost level (finest pairing) acts first
-        out = np.eye(total)
-        for m in mats:
-            out = out @ m
-        return out
-    out = np.eye(total)
-    for m in mats:
-        out = m @ out
+        out = out @ m if mirrored else m @ out
     return out
 
 
 def build_tree(
-    gates: Sequence[np.ndarray],
+    gates: Sequence[np.ndarray] | np.ndarray,
     *,
     encoder_noise: EncoderNoise | None = None,
     rng: np.random.Generator | None = None,
@@ -186,19 +197,28 @@ def build_tree(
 ) -> EncodedCircuit:
     """Assemble the full interferometer around the given gate copies.
 
+    ``gates`` is a list of N rails-by-rails matrices or an array of shape
+    (..., N, rails, rails); the leading axes stack independent trees, and
+    ``matrix`` of the result has shape (..., N * rails, N * rails).  Every
+    tree in a stack is bit-identical to the tree built from its slice alone.
+
     Splitter-angle offsets can either be sampled (``encoder_noise`` plus
-    ``rng``) or injected directly as flat arrays ordered level-major, then
-    pair, then rail; injected arrays are taken as-is (``correlated`` applies
-    only to sampling).  With no noise the splitters sit exactly at 50:50.
+    ``rng``, drawn with shape (..., count)) or injected directly as arrays of
+    shape (..., count), ordered level-major, then pair, then rail along the
+    last axis; injected arrays are taken as-is (``correlated`` applies only
+    to sampling).  With no noise the splitters sit exactly at 50:50.
     """
-    mats = [np.asarray(g, dtype=complex) for g in gates]
-    N = len(mats)
+    try:
+        g = np.asarray(gates, dtype=complex)
+    except ValueError:  # a ragged list of copies
+        g = None
+    N = len(gates) if g is None or g.ndim < 3 else g.shape[-3]
     if N < 1 or N & (N - 1):
         raise ValueError("need a power-of-two number of gate copies")
-    rails = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (rails, rails):
-            raise ValueError("all gate copies must be square and equally sized")
+    if g is None or g.ndim < 3 or g.shape[-1] != g.shape[-2]:
+        raise ValueError("all gate copies must be square and equally sized")
+    lead = g.shape[:-3]
+    rails = g.shape[-1]
     n = N.bit_length() - 1
     total = N * rails
 
@@ -209,38 +229,45 @@ def build_tree(
             raise ValueError("sampling encoder noise needs an rng")
         count = num_splitter_deltas(N, rails, encoder_noise.correlated)
         spec = encoder_noise.spec()
-        encoder_deltas = sample_deltas(spec, count, rng)
-        decoder_deltas = sample_deltas(spec, count, rng)
+        encoder_deltas = sample_deltas(spec, lead + (count,), rng)
+        decoder_deltas = sample_deltas(spec, lead + (count,), rng)
         correlated = encoder_noise.correlated
     else:
         per_side_corr = num_splitter_deltas(N, rails, True)
         if encoder_deltas is None:
-            encoder_deltas = np.zeros(per_side_corr)
+            encoder_deltas = np.zeros(lead + (per_side_corr,))
         if decoder_deltas is None:
-            decoder_deltas = np.zeros(per_side_corr)
+            decoder_deltas = np.zeros(lead + (per_side_corr,))
         encoder_deltas = np.asarray(encoder_deltas, dtype=float)
         decoder_deltas = np.asarray(decoder_deltas, dtype=float)
+        for d in (encoder_deltas, decoder_deltas):
+            if d.ndim == 0 or d.shape[:-1] != lead:
+                raise ValueError(
+                    f"delta arrays need the gates' lead shape {lead} plus one "
+                    f"axis, got shape {d.shape}"
+                )
         per_side_ind = num_splitter_deltas(N, rails, False)
-        if encoder_deltas.size == per_side_corr:
+        size = encoder_deltas.shape[-1]
+        if size == per_side_corr:
             correlated = True
-        elif encoder_deltas.size == per_side_ind:
+        elif size == per_side_ind:
             correlated = False
         else:
             raise ValueError(
                 f"expected {per_side_corr} (correlated) or {per_side_ind} "
-                f"(independent) deltas per side, got {encoder_deltas.size}"
+                f"(independent) deltas per side, got {size}"
             )
-        if decoder_deltas.size != encoder_deltas.size:
+        if decoder_deltas.shape[-1] != size:
             raise ValueError("encoder and decoder delta arrays must match in size")
 
     if n == 0:
-        return EncodedCircuit(mats[0], 1, rails)
+        return EncodedCircuit(g[..., 0, :, :], 1, rails)
 
-    enc_m = _side_matrix(n, rails, total, encoder_deltas, correlated, mirrored=False)
-    dec_m = _side_matrix(n, rails, total, decoder_deltas, correlated, mirrored=True)
-    gate_m = np.zeros((total, total), dtype=complex)
-    for j, m in enumerate(mats):
-        gate_m[j * rails : (j + 1) * rails, j * rails : (j + 1) * rails] = m
+    enc_m = _side_matrix(n, rails, encoder_deltas, correlated, mirrored=False)
+    dec_m = _side_matrix(n, rails, decoder_deltas, correlated, mirrored=True)
+    gate_m = np.zeros(lead + (total * total,), dtype=complex)
+    gate_m[..., _gate_slots(N, rails)] = g.reshape(lead + (N * rails * rails,))
+    gate_m = gate_m.reshape(lead + (total, total))
     return EncodedCircuit(dec_m @ gate_m @ enc_m, N, rails)
 
 
@@ -249,7 +276,7 @@ def herald_branch(circuit: EncodedCircuit, k: int) -> np.ndarray:
     r = circuit.rails
     if not 0 <= k < circuit.num_copies:
         raise ValueError(f"branch index {k} out of range")
-    return circuit.matrix[k * r : (k + 1) * r, 0:r]
+    return circuit.matrix[..., k * r : (k + 1) * r, 0:r]
 
 
 def success_branch(circuit: EncodedCircuit) -> np.ndarray:
@@ -292,18 +319,18 @@ def encoder_error_scaling(
     zero offsets the deviation grows quadratically, since every splitter sits
     at a stationary point of the success branch.
     """
-    mats = [np.asarray(g, dtype=complex) for g in gates]
-    N = len(mats)
-    rails = mats[0].shape[0]
-    count = num_splitter_deltas(N, rails, correlated)
+    ideal = build_tree(gates)
+    count = num_splitter_deltas(ideal.num_copies, ideal.rails, correlated)
     rng = np.random.default_rng(pattern_seed)
     enc_pattern = rng.standard_normal(count)
     dec_pattern = rng.standard_normal(count)
-    ideal = success_branch(build_tree(mats))
-    out = []
-    for s in scales:
-        circ = build_tree(
-            mats, encoder_deltas=s * enc_pattern, decoder_deltas=s * dec_pattern
-        )
-        out.append(np.linalg.norm(success_branch(circ) - ideal))
-    return np.array(out)
+    mats = np.asarray(gates, dtype=complex)
+    s = np.asarray(scales, dtype=float)[:, None]
+    circ = build_tree(
+        np.broadcast_to(mats, s.shape[:1] + mats.shape),
+        encoder_deltas=s * enc_pattern,
+        decoder_deltas=s * dec_pattern,
+    )
+    devs = success_branch(circ) - success_branch(ideal)
+    # one norm per scale: a norm reduced over the stack rounds differently
+    return np.array([np.linalg.norm(d) for d in devs])

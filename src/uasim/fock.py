@@ -17,8 +17,6 @@ __all__ = [
     "apply_single_photon",
     "apply_two_photon",
     "vacuum_project",
-    "embed",
-    "is_unitary",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -216,23 +214,3 @@ def vacuum_project(state: PhotonicState, error_modes) -> tuple[PhotonicState, fl
     projected = PhotonicState(state.num_modes, kept)
     return projected, projected.norm_sq()
 
-
-def embed(m: np.ndarray, modes, total_modes: int) -> np.ndarray:
-    """Embed the matrix ``m`` acting on ``modes`` into a ``total_modes`` register,
-    identity elsewhere."""
-    modes = [int(i) for i in modes]
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (len(modes), len(modes)):
-        raise ValueError("matrix size does not match the target mode list")
-    if len(set(modes)) != len(modes):
-        raise ValueError("target modes must be distinct")
-    if any(i < 0 or i >= total_modes for i in modes):
-        raise ValueError("target mode out of range")
-    out = np.eye(total_modes, dtype=complex)
-    out[np.ix_(modes, modes)] = m
-    return out
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))

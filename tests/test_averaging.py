@@ -25,15 +25,26 @@ from uasim.averaging import (
     run_postselected,
     success_branch,
 )
-from uasim.fock import PhotonicState, is_unitary
-from uasim.gates import named_gate, single_qubit_matrix
+from uasim.fock import PhotonicState
+from uasim.gates import named_gate, sample_deltas, single_qubit_matrix
 
 RNG = np.random.default_rng(77)
+
+
+def is_unitary(m, tol):
+    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))
 
 
 def random_unitary(d, rng=RNG):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_unitary_stack(shape, rng):
+    size = shape + (2, 2)
+    q, r = np.linalg.qr(rng.normal(size=size) + 1j * rng.normal(size=size))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def gate(name, alpha=None):
@@ -216,6 +227,16 @@ def test_gate_list_validation():
         build_tree([np.eye(2), np.eye(3)])
 
 
+def test_delta_lead_shape_must_match_the_gates():
+    stack = np.broadcast_to(np.eye(2), (3, 4, 2, 2))
+    with pytest.raises(ValueError, match="lead shape"):
+        build_tree(stack, encoder_deltas=np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="lead shape"):
+        build_tree(stack, encoder_deltas=np.zeros((3, 4)), decoder_deltas=np.zeros(4))
+    with pytest.raises(ValueError, match="lead shape"):
+        build_tree([np.eye(2)] * 4, encoder_deltas=np.zeros((1, 4)))
+
+
 def test_correlated_deltas_equal_duplicated_independent_ones():
     mats = [random_unitary(2) for _ in range(4)]
     corr = RNG.normal(scale=1e-2, size=num_splitter_deltas(4, 2, True))
@@ -258,3 +279,53 @@ def test_encoder_offsets_enter_only_at_second_order(num_copies):
     devs = encoder_error_scaling(mixed, scales, pattern_seed=3)
     slopes = np.diff(np.log(devs)) / np.diff(np.log(scales))
     assert np.all(np.abs(slopes - 1.0) < 0.05)
+
+
+# ---------------------------------------------------------------------------
+# stacked trees
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+@pytest.mark.parametrize("correlated", [True, False])
+@pytest.mark.parametrize("num_copies", [1, 2, 4, 8])
+def test_stacked_trees_equal_single_trees_bit_for_bit(num_copies, correlated, lead):
+    rng = np.random.default_rng(num_copies)
+    gates = random_unitary_stack(lead + (num_copies,), rng)
+    count = num_splitter_deltas(num_copies, 2, correlated)
+    enc = rng.normal(scale=0.1, size=lead + (count,))
+    dec = rng.normal(scale=0.1, size=lead + (count,))
+    stack = build_tree(gates, encoder_deltas=enc, decoder_deltas=dec)
+    bare = build_tree(gates)
+    noise = EncoderNoise(1e-3, correlated=correlated)
+    sampled = build_tree(gates, encoder_noise=noise, rng=np.random.default_rng(5))
+    redraw = np.random.default_rng(5)
+    enc_drawn = sample_deltas(noise.spec(), lead + (count,), redraw)
+    dec_drawn = sample_deltas(noise.spec(), lead + (count,), redraw)
+    assert stack.matrix.shape == lead + (2 * num_copies, 2 * num_copies)
+    for idx in np.ndindex(*lead):
+        one = build_tree(list(gates[idx]), encoder_deltas=enc[idx], decoder_deltas=dec[idx])
+        assert np.array_equal(stack.matrix[idx], one.matrix)
+        assert np.array_equal(success_branch(stack)[idx], success_branch(one))
+        assert np.array_equal(bare.matrix[idx], build_tree(list(gates[idx])).matrix)
+        drawn = build_tree(
+            list(gates[idx]), encoder_deltas=enc_drawn[idx], decoder_deltas=dec_drawn[idx]
+        )
+        assert np.array_equal(sampled.matrix[idx], drawn.matrix)
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+@pytest.mark.parametrize("num_copies", [1, 2, 8])
+def test_encoder_error_scaling_equals_one_tree_per_scale(num_copies, correlated):
+    mats = [random_unitary(2) for _ in range(num_copies)]
+    scales = [1e-2, 1e-3, 1e-4]
+    count = num_splitter_deltas(num_copies, 2, correlated)
+    rng = np.random.default_rng(4)
+    enc, dec = rng.standard_normal(count), rng.standard_normal(count)
+    ideal = success_branch(build_tree(mats))
+    expected = []
+    for s in scales:
+        circ = build_tree(mats, encoder_deltas=s * enc, decoder_deltas=s * dec)
+        expected.append(np.linalg.norm(success_branch(circ) - ideal))
+    got = encoder_error_scaling(mats, scales, pattern_seed=4, correlated=correlated)
+    assert got.tolist() == expected

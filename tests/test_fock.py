@@ -8,8 +8,6 @@ from uasim.fock import (
     apply_matrix,
     apply_single_photon,
     apply_two_photon,
-    embed,
-    is_unitary,
     vacuum_project,
 )
 
@@ -123,26 +121,6 @@ def test_vacuum_project_total_herald():
     kept, prob = vacuum_project(state, [1])
     assert prob == 0.0
     assert kept.norm_sq() == 0.0
-
-
-def test_embed_places_block_and_identity():
-    block = np.array([[0, 1], [1, 0]], dtype=complex)
-    full = embed(block, [1, 3], total_modes=4)
-    expected = np.eye(4, dtype=complex)
-    expected[1, 1] = expected[3, 3] = 0
-    expected[1, 3] = expected[3, 1] = 1
-    np.testing.assert_array_equal(full, expected)
-    assert is_unitary(full)
-
-
-def test_embed_rejects_bad_mode_lists():
-    block = np.eye(2)
-    with pytest.raises(ValueError):
-        embed(block, [0, 0], 4)
-    with pytest.raises(ValueError):
-        embed(block, [0, 4], 4)
-    with pytest.raises(ValueError):
-        embed(block, [0], 4)
 
 
 def test_state_validation():

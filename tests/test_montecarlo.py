@@ -17,9 +17,16 @@ import math
 import numpy as np
 import pytest
 
-from uasim.gates import named_gate
+from uasim import montecarlo
+from uasim.averaging import EncoderNoise, build_tree, num_splitter_deltas, success_branch
+from uasim.gates import named_gate, sample_deltas, single_qubit_matrix
 from uasim.montecarlo import (
+    _STREAM_GATES,
+    _STREAM_SPLITTERS,
+    _accumulate_ratio,
+    _chunk_rng,
     _ChunkSums,
+    _finalize_ratio,
     _iter_chunks,
     derive_point_seed,
     discriminate,
@@ -219,10 +226,91 @@ def test_tree_simulation_agrees_with_direct_averaging():
 def test_tree_simulation_with_jittering_splitters_stays_close():
     # encoder offsets act at second order, so a 1e-6 variance moves nothing
     quiet = estimate_end_to_end(0.01, 2, 4_000, seed=23)
-    from uasim.averaging import EncoderNoise
-
     noisy = estimate_end_to_end(0.01, 2, 4_000, seed=23, encoder_noise=EncoderNoise(1e-6))
     assert abs(noisy.success_prob.mean - quiet.success_prob.mean) < 1e-4
+
+
+def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_noise, chunk_size):
+    """``estimate_end_to_end`` with one ``build_tree`` call per sample."""
+    psi = np.array([1.0, 0.0], dtype=complex)
+    target = single_qubit_matrix(named_gate("I")) @ psi
+    n_deltas = (
+        num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
+        if encoder_noise is not None and num_copies > 1
+        else 0
+    )
+    sums = _ChunkSums()
+    for idx, count in _iter_chunks(samples, chunk_size):
+        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        noise = montecarlo._noise_spec(nu, "gaussian", None)
+        deltas = sample_deltas(noise, (count, num_copies, 5), rng)
+        gates_mat = single_qubit_matrix(named_gate("I"), deltas)
+        if n_deltas:
+            srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
+            enc = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
+            dec = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
+        amps = np.empty(count, dtype=complex)
+        probs = np.empty(count)
+        for b in range(count):
+            circ = build_tree(
+                gates_mat[b],
+                encoder_deltas=enc[b] if n_deltas else None,
+                decoder_deltas=dec[b] if n_deltas else None,
+            )
+            out = success_branch(circ) @ psi
+            amps[b] = np.conj(target) @ out
+            probs[b] = float(np.real(np.conj(out) @ out))
+        _accumulate_ratio(sums, amps, probs)
+    return _finalize_ratio(sums, samples)
+
+
+JITTERS = [None, EncoderNoise(1e-4), EncoderNoise(1e-3, correlated=False)]
+
+
+@pytest.mark.parametrize("encoder_noise", JITTERS, ids=["none", "correlated", "independent"])
+@pytest.mark.parametrize("num_copies", [1, 2, 8])
+def test_end_to_end_equals_one_tree_per_sample_bit_for_bit(num_copies, encoder_noise):
+    # chunks of 140, 140 and 20 samples: both the last chunk and the last
+    # slice of trees in every chunk are partial
+    kw = dict(seed=31 + num_copies, encoder_noise=encoder_noise, chunk_size=140)
+    assert estimate_end_to_end(0.01, num_copies, 300, **kw) == end_to_end_one_tree_at_a_time(
+        0.01, num_copies, 300, **kw
+    )
+
+
+@pytest.mark.parametrize("trees_per_slice", [1, 7])
+def test_end_to_end_does_not_depend_on_the_slice_size(monkeypatch, trees_per_slice):
+    kw = dict(seed=5, encoder_noise=EncoderNoise(1e-4), chunk_size=100)
+    default = [estimate_end_to_end(0.01, n, 250, **kw) for n in (2, 4)]
+    monkeypatch.setattr(montecarlo, "_TREES_PER_SLICE", trees_per_slice)
+    assert [estimate_end_to_end(0.01, n, 250, **kw) for n in (2, 4)] == default
+
+
+# estimate_end_to_end(0.01, 4, 4096, seed=7) as printed by the per-sample
+# implementation: (P_s, stderr), ratio of means, mean of ratios
+END_TO_END_GOLDEN = {
+    "none": (
+        (0.9778198131605711, 0.00021027847778285814),
+        (0.9925662247115108, 0.00011998947846211303),
+        (0.9975272101718601, 5.3346668076984596e-05),
+    ),
+    "jitter": (
+        (0.9774399988412477, 0.0002101684639080712),
+        (0.9925593188420058, 0.00012013212436111805),
+        (0.997525436100827, 5.340896469314047e-05),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(END_TO_END_GOLDEN))
+def test_end_to_end_golden_row(case):
+    noise = EncoderNoise(1e-4) if case == "jitter" else None
+    run = estimate_end_to_end(0.01, 4, 4096, seed=7, encoder_noise=noise)
+    got = [run.success_prob, run.fidelity.ratio_of_means, run.fidelity.mean_of_ratios]
+    for est, (mean, stderr) in zip(got, END_TO_END_GOLDEN[case]):
+        assert est.samples == 4096
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
