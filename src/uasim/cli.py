@@ -6,6 +6,10 @@ for the quantities the library computes.  Every run is reproducible: the
 stochastic subcommands require ``--seed``, and any run can be replayed from a
 JSON config written with ``--dump-config`` and read back with ``--config``.
 
+Each subcommand's fields live in one table (``_SUBCOMMANDS``).  argparse only
+collects strings; every value, from a flag or from a config, is parsed once
+by its field's kind, so both sources obey the same rules.
+
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input data,
 4 internal error.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -41,15 +46,7 @@ from .montecarlo import (
 from .parity import ParityCode, logical_success_prob
 from .svgplot import write_line_chart
 
-__all__ = [
-    "RunConfig",
-    "main",
-    "cmd_analytic",
-    "cmd_mc",
-    "cmd_encode_check",
-    "cmd_parity",
-    "cmd_ft_region",
-]
+__all__ = ["main"]
 
 
 class UsageError(Exception):
@@ -60,60 +57,69 @@ class InputDataError(Exception):
     """Unreadable or malformed input files; maps to exit code 3."""
 
 
+# Where a run writes, not what it computes.  A dump leaves them out: holding
+# them would tie its bytes to the checkout directory, and a replay without
+# flags would overwrite the original files.
+_DESTINATIONS = ("out", "svg", "report", "dump_config")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully serialized subcommand invocation."""
+    """A subcommand and each field's parsed value; None or [] when unset."""
 
     subcommand: str
     params: dict
 
     def to_json(self) -> str:
         payload = {"subcommand": self.subcommand}
-        # The dump destination itself is not part of the run: keeping it would
-        # make a replayed config rewrite its own file.
         payload.update(
-            (k, v) for k, v in self.params.items() if k != "dump_config"
+            (k, _plain(v))
+            for k, v in self.params.items()
+            if v is not None and k not in _DESTINATIONS
         )
         return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
-    @classmethod
-    def from_file(cls, path: str, subcommand: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise InputDataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"malformed config {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InputDataError(f"config {path} must hold a JSON object")
-        stored = payload.pop("subcommand", subcommand)
-        if stored != subcommand:
-            raise UsageError(
-                f"config is for subcommand {stored!r}, invoked with {subcommand!r}"
-            )
-        return cls(subcommand, payload)
+
+def _read_config(path: str, subcommand: str) -> dict:
+    """The raw field values a config file holds for ``subcommand``."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InputDataError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputDataError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputDataError(f"config {path} must hold a JSON object")
+    stored = payload.pop("subcommand", subcommand)
+    if stored != subcommand:
+        raise UsageError(
+            f"config is for subcommand {stored!r}, invoked with {subcommand!r}"
+        )
+    return payload
 
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     raise TypeError(f"not serializable: {value!r}")
 
 
+def _plain(value):
+    """``value`` with infinite floats spelled 'inf', which strict JSON needs."""
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
 # ---------------------------------------------------------------------------
-# flag parsing helpers
+# field kinds: each turns a flag string or a config value into a typed value
 # ---------------------------------------------------------------------------
 
 
-def _flatten_list(raw) -> list[str]:
-    if raw is None:
-        return []
-    out: list[str] = []
-    items = raw if isinstance(raw, (list, tuple)) else [raw]
-    for item in items:
+def _flatten_list(raw) -> list:
+    out: list = []
+    for item in raw if isinstance(raw, list) else [raw]:
         if isinstance(item, str):
             out.extend(p for p in item.split(",") if p != "")
         else:
@@ -126,7 +132,7 @@ def _parse_floats(raw, flag: str) -> list[float]:
     for item in _flatten_list(raw):
         try:
             val = float(item)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"{flag} expects numbers, got {item!r}") from None
         if isinstance(item, bool) or not math.isfinite(val):
             raise UsageError(f"{flag} expects finite numbers, got {item!r}")
@@ -134,73 +140,92 @@ def _parse_floats(raw, flag: str) -> list[float]:
     return vals
 
 
-def _parse_int(value, flag: str) -> int | None:
-    """An integer field; a config may store it as an integral float, never as
-    a bool or a number with a fractional part."""
-    if value is None:
-        return None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise UsageError(f"{flag} expects a whole number, got {value!r}")
+def _parse_float(value, flag: str) -> float:
+    vals = _parse_floats(value, flag)
+    if len(vals) != 1:
+        raise UsageError(f"{flag} expects one number, got {value!r}")
+    return vals[0]
 
 
-def _parse_big_n(raw, flag: str = "--big-n") -> list[float]:
-    """Copy counts; the token 'inf' gives the fully averaged limit."""
+def _parse_big_n(raw, flag: str) -> list[float]:
+    """Copy counts; 'inf' gives the fully averaged limit."""
     vals: list[float] = []
     for item in _flatten_list(raw):
-        if isinstance(item, str) and item.strip().lower() in ("inf", "infinity"):
-            vals.append(math.inf)
-            continue
         try:
             num = float(item)
-        except (TypeError, ValueError):
-            raise UsageError(f"{flag} expects integers or 'inf', got {item!r}") from None
-        if math.isinf(num):
-            vals.append(math.inf)
-        elif num == int(num) and num >= 1:
-            vals.append(float(int(num)))
-        else:
+        except (TypeError, ValueError, OverflowError):
+            num = math.nan
+        if isinstance(item, bool) or not (num == math.inf or (num.is_integer() and num >= 1)):
             raise UsageError(f"{flag} expects integers >= 1 or 'inf', got {item!r}")
+        vals.append(num)
     return vals
 
 
-def _require_power_of_two(vals: Sequence[float], flag: str) -> list[int]:
-    out = []
-    for v in vals:
-        if math.isinf(v) or int(v) & (int(v) - 1):
+def _parse_copies(raw, flag: str) -> list[int]:
+    """Copy counts that a splitter tree can hold: finite powers of two."""
+    vals = []
+    for num in _parse_big_n(raw, flag):
+        if math.isinf(num) or int(num) & (int(num) - 1):
             raise UsageError(f"{flag} must be a power of two for this subcommand")
-        out.append(int(v))
-    return out
+        vals.append(int(num))
+    return vals
 
 
-def _require_seed(params: dict):
-    seed = _parse_int(params.get("seed"), "--seed")
-    if seed is None:
-        raise UsageError("--seed is required for stochastic subcommands")
-    if seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
-    return seed
+def _parse_levels(raw, flag: str) -> list[int]:
+    levels = _parse_floats(raw, flag)
+    if not all(lv.is_integer() and 1 <= lv <= 6 for lv in levels):
+        raise UsageError(f"{flag} expects whole numbers between 1 and 6")
+    return [int(lv) for lv in levels]
 
 
-def _gate_from(params: dict):
-    name = params.get("gate", "H") or "H"
-    alpha = params.get("alpha")
-    if alpha is not None:
-        vals = _parse_floats(alpha, "--alpha")
-        if len(vals) != 1:
-            raise UsageError("--alpha expects one number")
-        alpha = vals[0]
-    try:
-        return named_gate(name, alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _whole(minimum: int):
+    """A whole number of at least ``minimum``; a config may store it as an
+    integral float, never as a bool or a number with a fractional part."""
+
+    def parse(value, flag: str) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"{flag} expects a whole number, got {value!r}")
+        if value < minimum:
+            raise UsageError(f"{flag} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _text(value, flag: str) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{flag} expects text, got {value!r}")
+    return value
+
+
+def _choice(*options: str):
+    def parse(value, flag: str) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise UsageError(f"{flag} must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _switch(value, flag: str) -> bool:
+    if not isinstance(value, bool):
+        raise UsageError(f"{flag} is a switch: true or false, got {value!r}")
+    return value
+
+
+_REPEATED = (_parse_floats, _parse_big_n, _parse_copies, _parse_levels)
+
+
+@functools.cache  # one string per field, shared by every parser main builds
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +253,7 @@ def _emit(
     svg_series=None,
     svg_kwargs: dict | None = None,
 ) -> None:
-    fmt = cfg.params.get("format", "csv") or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {fmt!r}")
-    if fmt == "csv":
+    if cfg.params["format"] != "json":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -243,31 +265,27 @@ def _emit(
     else:
         payload = {
             "columns": list(columns),
-            "rows": [
-                {c: ("inf" if isinstance(r[c], float) and math.isinf(r[c]) else r[c])
-                 for c in columns}
-                for r in rows
-            ],
+            "rows": [{c: _plain(r[c]) for c in columns} for r in rows],
         }
         if extras:
             payload.update(extras)
         text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
-    out_path = cfg.params.get("out")
+    out_path = cfg.params["out"]
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
-    svg_path = cfg.params.get("svg")
+    svg_path = cfg.params["svg"]
     if svg_path:
         if not svg_series:
             raise UsageError("--svg is not available for an empty table")
         with open(svg_path, "w") as fh:
             write_line_chart(fh, svg_series, **(svg_kwargs or {}))
 
-    dump_path = cfg.params.get("dump_config")
+    dump_path = cfg.params["dump_config"]
     if dump_path:
         with open(dump_path, "w") as fh:
             fh.write(cfg.to_json())
@@ -275,6 +293,22 @@ def _emit(
 
 def _label_n(big_n: float) -> str:
     return "inf" if math.isinf(big_n) else str(int(big_n))
+
+
+def _law(func, nu: float, big_n: float, *variant: str) -> float:
+    """One closed-form value; out of range, overflowing or non-finite is a
+    usage error."""
+    try:
+        value = func(nu, big_n, *variant)
+    except ValueError as exc:
+        raise UsageError(f"--nu {nu!r} at N = {_label_n(big_n)}: {exc}") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(
+            f"--nu {nu!r} at N = {_label_n(big_n)}: {func.__name__} is not finite"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +329,9 @@ _FORMULAS = {
 
 def cmd_analytic(cfg: RunConfig) -> int:
     """Closed-form curves over a (nu, N) grid, one row per variant."""
-    formula_id = cfg.params.get("formula")
-    if formula_id not in _FORMULAS:
-        known = ", ".join(sorted(_FORMULAS))
-        raise UsageError(f"unknown formula {formula_id!r}; choose from: {known}")
+    p = cfg.params
+    formula_id, chosen = p["formula"], p["variant"]
     func, variants = _FORMULAS[formula_id]
-    nus = _parse_floats(cfg.params.get("nu"), "--nu")
-    big_ns = _parse_big_n(cfg.params.get("big_n"))
-    chosen = cfg.params.get("variant")
     if variants is None:
         if chosen:
             raise UsageError(f"{formula_id} has no variants")
@@ -314,17 +343,17 @@ def cmd_analytic(cfg: RunConfig) -> int:
     else:
         use_variants = list(variants)
 
-    rows = []
-    for nu in nus:
-        for big_n in big_ns:
-            for variant in use_variants:
-                try:
-                    value = func(nu, big_n, variant) if variant else func(nu, big_n)
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from None
-                rows.append(
-                    {"nu": nu, "N": _label_n(big_n), "value": value, "variant": variant}
-                )
+    rows = [
+        {
+            "nu": nu,
+            "N": _label_n(big_n),
+            "value": _law(func, nu, big_n, *([variant] if variant else [])),
+            "variant": variant,
+        }
+        for nu in p["nu"]
+        for big_n in p["big_n"]
+        for variant in use_variants
+    ]
     series = _series_by(rows, key="N", x="nu", y="value") if rows else None
     _emit(
         ("nu", "N", "value", "variant"),
@@ -346,26 +375,20 @@ def _series_by(rows, *, key, x, y):
     return [(label, xs, ys) for label, (xs, ys) in order.items()]
 
 
-_MC_VARIANT_COLS = {
-    "single-qubit": ("main", "second_order", "fourth_order"),
-    "type2": ("main", "alt"),
-    "four-mode": ("analytic",),
+# Columns after nu, N, samples, mc_mean and mc_stderr, by gate family.
+_MC_COLUMNS = {
+    "single-qubit": ("mc_fidelity", "mc_fidelity_stderr", "main", "second_order",
+                     "fourth_order"),
+    "type2": ("mc_pair_mean", "mc_pair_stderr", "main", "alt"),
+    "four-mode": ("mc_pair_mean", "mc_pair_stderr", "analytic"),
 }
 
 
 def cmd_mc(cfg: RunConfig) -> int:
     """Monte Carlo success probabilities beside every analytic variant."""
-    family = cfg.params.get("family", "single-qubit") or "single-qubit"
-    if family not in _MC_VARIANT_COLS:
-        raise UsageError(f"unknown gate family {family!r}")
-    seed = _require_seed(cfg.params)
-    samples = _parse_int(cfg.params.get("samples"), "--samples")
-    if not samples or samples < 2:
-        raise UsageError("--samples must be at least 2")
-    nus = _parse_floats(cfg.params.get("nu"), "--nu")
-    copies = _require_power_of_two(_parse_big_n(cfg.params.get("big_n")), "--big-n")
-    if not nus or not copies:
-        raise UsageError("mc needs at least one --nu and one --big-n")
+    p = cfg.params
+    family = p["family"] or "single-qubit"
+    seed, samples, nus, copies = p["seed"], p["samples"], p["nu"], p["big_n"]
 
     extras: dict = {}
     comments: list[str] = []
@@ -386,16 +409,17 @@ def cmd_mc(cfg: RunConfig) -> int:
                     "mc_stderr": pt["stderr"],
                     "mc_fidelity": pt["fidelity"],
                     "mc_fidelity_stderr": pt["fidelity_stderr"],
-                    "main": formulas.success_prob_single(nu, big_n, "main"),
-                    "second_order": formulas.success_prob_single(nu, big_n, "second-order"),
-                    "fourth_order": formulas.success_prob_single(nu, big_n, "fourth-order"),
+                    **{
+                        v.replace("-", "_"): _law(formulas.success_prob_single, nu, big_n, v)
+                        for v in formulas.SINGLE_QUBIT_VARIANTS
+                    },
                 }
             )
         # N = 1 rows carry no information about the variants (all agree there)
         # and their stderr is rounding dust, so they stay out of the fit.
         usable = [
-            p for p in points
-            if p["nu"] > 0 and p["stderr"] > 0 and p["num_copies"] > 1
+            pt for pt in points
+            if pt["nu"] > 0 and pt["stderr"] > 0 and pt["num_copies"] > 1
         ]
         if len(usable) >= 3:
             report = dict(discriminate(usable))
@@ -403,15 +427,6 @@ def cmd_mc(cfg: RunConfig) -> int:
             report["samples_per_point"] = samples
             extras["discrimination"] = report
             comments.append(f"selected_variant: {report['selected']}")
-        cols = (
-            "nu",
-            "N",
-            "samples",
-            "mc_mean",
-            "mc_stderr",
-            "mc_fidelity",
-            "mc_fidelity_stderr",
-        ) + _MC_VARIANT_COLS[family]
     else:
         for i, (nu, big_n) in enumerate(
             (nu, n) for nu in nus for n in copies
@@ -432,22 +447,13 @@ def cmd_mc(cfg: RunConfig) -> int:
                 "mc_pair_stderr": res.two_photon.success_prob.stderr,
             }
             if family == "type2":
-                row["main"] = formulas.success_prob_type2(nu, big_n, "main")
-                row["alt"] = formulas.success_prob_type2(nu, big_n, "alt")
+                for v in formulas.TYPE2_VARIANTS:
+                    row[v] = _law(formulas.success_prob_type2, nu, big_n, v)
             else:
-                row["analytic"] = formulas.success_prob_four_mode(nu, big_n)
+                row["analytic"] = _law(formulas.success_prob_four_mode, nu, big_n)
             rows.append(row)
-        cols = (
-            "nu",
-            "N",
-            "samples",
-            "mc_mean",
-            "mc_stderr",
-            "mc_pair_mean",
-            "mc_pair_stderr",
-        ) + _MC_VARIANT_COLS[family]
 
-    report_path = cfg.params.get("report")
+    report_path = p["report"]
     if report_path:
         if "discrimination" not in extras:
             raise UsageError(
@@ -459,7 +465,7 @@ def cmd_mc(cfg: RunConfig) -> int:
 
     series = _series_by(rows, key="N", x="nu", y="mc_mean") if rows else None
     _emit(
-        cols,
+        ("nu", "N", "samples", "mc_mean", "mc_stderr") + _MC_COLUMNS[family],
         rows,
         cfg,
         extras=extras,
@@ -476,32 +482,33 @@ def cmd_mc(cfg: RunConfig) -> int:
 
 def cmd_encode_check(cfg: RunConfig) -> int:
     """Success-branch deviation vs splitter offset, with fitted slopes."""
-    seed = _require_seed(cfg.params)
-    levels_raw = _parse_floats(cfg.params.get("levels"), "--levels")
-    if not levels_raw:
-        raise UsageError("encode-check needs at least one --levels value")
-    levels = []
-    for lv in levels_raw:
-        if lv != int(lv) or not 1 <= int(lv) <= 6:
-            raise UsageError("--levels expects whole numbers between 1 and 6")
-        levels.append(int(lv))
-    scales = _parse_floats(cfg.params.get("delta_theta"), "--delta-theta")
+    p = cfg.params
+    scales = p["delta_theta"]
     if len(set(scales)) < 2:
         raise UsageError("encode-check needs at least two distinct --delta-theta values")
     if any(s <= 0 for s in scales):
         raise UsageError("--delta-theta values must be positive")
-    correlated = not cfg.params.get("independent", False)
-    gate = single_qubit_matrix(_gate_from(cfg.params))
+    try:
+        gate = single_qubit_matrix(named_gate(p["gate"] or "H", p["alpha"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     rows = []
-    for lv in levels:
+    for lv in p["levels"]:
         n_copies = 2**lv
         devs = encoder_error_scaling(
             [gate] * n_copies,
             scales,
-            pattern_seed=seed,
-            correlated=correlated,
+            pattern_seed=p["seed"],
+            correlated=not p["independent"],
         )
+        # log-log fit: an offset too small to move the branch above rounding
+        # leaves a zero deviation, which has no logarithm.
+        if not (devs > 0).all():
+            raise UsageError(
+                f"--delta-theta {scales} leaves a zero deviation at N = {n_copies};"
+                " no slope can be fitted"
+            )
         slope = float(
             np.polyfit(np.log(np.asarray(scales)), np.log(devs), 1)[0]
         )
@@ -534,19 +541,9 @@ def cmd_encode_check(cfg: RunConfig) -> int:
 
 def cmd_parity(cfg: RunConfig) -> int:
     """Logical recovery probability over a herald-rate grid."""
-    n = _parse_int(cfg.params.get("n"), "--n")
-    q = _parse_int(cfg.params.get("q"), "--q")
-    if not n or not q:
-        raise UsageError("parity needs --n and --q")
-    try:
-        code = ParityCode(n, q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    ps = _parse_floats(cfg.params.get("p"), "--p")
-    if not ps:
-        raise UsageError("parity needs at least one --p value")
+    code = ParityCode(cfg.params["n"], cfg.params["q"])
     rows = []
-    for p in ps:
+    for p in cfg.params["p"]:
         try:
             value = logical_success_prob(code, p)
         except ValueError as exc:
@@ -570,33 +567,25 @@ def cmd_parity(cfg: RunConfig) -> int:
 
 def cmd_ft_region(cfg: RunConfig) -> int:
     """Fault-tolerance verdicts over an (epsilon, gamma, N) grid."""
-    curve_path = cfg.params.get("curve")
+    p = cfg.params
     try:
-        if curve_path:
-            curve = ThresholdCurve.from_csv(curve_path)
-        else:
-            curve = load_synthetic_curve()
+        curve = ThresholdCurve.from_csv(p["curve"]) if p["curve"] else load_synthetic_curve()
     except CurveFormatError as exc:
         raise InputDataError(str(exc)) from None
-    eps = _parse_floats(cfg.params.get("epsilon"), "--epsilon")
-    gam = _parse_floats(cfg.params.get("gamma"), "--gamma")
-    n_list = _require_power_of_two(_parse_big_n(cfg.params.get("big_n")), "--big-n")
-    if not eps or not gam or not n_list:
-        raise UsageError("ft-region needs --epsilon, --gamma and --big-n grids")
     try:
-        points = sweep_region(eps, gam, n_list, curve)
+        points = sweep_region(p["epsilon"], p["gamma"], p["big_n"], curve)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = [
         {
-            "epsilon": p.epsilon,
-            "gamma": p.gamma,
-            "N": str(p.num_copies),
-            "effective_error": p.effective_error,
-            "effective_loss": p.effective_loss,
-            "fault_tolerant": p.fault_tolerant,
+            "epsilon": pt.epsilon,
+            "gamma": pt.gamma,
+            "N": str(pt.num_copies),
+            "effective_error": pt.effective_error,
+            "effective_loss": pt.effective_loss,
+            "fault_tolerant": pt.fault_tolerant,
         }
-        for p in points
+        for pt in points
     ]
     series = [
         (f"curve {curve.code_name}", list(curve.epsilons), list(curve.gammas))
@@ -620,15 +609,59 @@ def cmd_ft_region(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the parameter table and its wiring
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {
-    "analytic": cmd_analytic,
-    "mc": cmd_mc,
-    "encode-check": cmd_encode_check,
-    "parity": cmd_parity,
-    "ft-region": cmd_ft_region,
+_COMMON = {
+    "format": (_choice("csv", "json"), "csv (default) or json"),
+    "out": (_text, "write the table here instead of stdout"),
+    "svg": (_text, "also write an SVG line chart"),
+    "dump_config": (_text, "serialize the effective run config to this path"),
+}
+
+# subcommand -> (handler, help, required fields, {dest: (kind, help)}); the
+# flag of a field is "--" + dest with "_" spelled "-".
+_SUBCOMMANDS = {
+    "analytic": (cmd_analytic, "evaluate closed-form laws on a grid", ("formula",), {
+        "formula": (_choice(*_FORMULAS), "which law to evaluate"),
+        "nu": (_parse_floats, "variance grid (repeat or comma-list)"),
+        "big_n": (_parse_big_n, "copy counts; 'inf' allowed"),
+        "variant": (_text, "restrict to one printed variant"),
+        **_COMMON,
+    }),
+    "mc": (cmd_mc, "Monte Carlo success probabilities", ("nu", "big_n", "samples", "seed"), {
+        "family": (_choice(*_MC_COLUMNS), "single-qubit (default), type2 or four-mode"),
+        "nu": (_parse_floats, "variance grid (repeat or comma-list)"),
+        "big_n": (_parse_copies, "copy counts, powers of two"),
+        "samples": (_whole(2), "samples per grid point"),
+        "seed": (_whole(0), "master seed"),
+        "report": (_text, "write the discrimination report JSON here"),
+        **_COMMON,
+    }),
+    "encode-check": (cmd_encode_check, "encoder-jitter scaling experiment",
+                     ("levels", "delta_theta", "seed"), {
+        "levels": (_parse_levels, "tree depths n (N = 2^n)"),
+        "delta_theta": (_parse_floats, "splitter offset scales"),
+        "seed": (_whole(0), "seed of the frozen offset pattern"),
+        "gate": (_text, "target gate name (I, X, Y, Z, H; default H)"),
+        "alpha": (_parse_float, "phase for the Z gate family"),
+        "independent": (_switch, "jitter each rail splitter separately"),
+        **_COMMON,
+    }),
+    "parity": (cmd_parity, "parity-code recovery probabilities", ("n", "q", "p"), {
+        "n": (_whole(1), "qubits per parity block"),
+        "q": (_whole(1), "redundant copies"),
+        "p": (_parse_floats, "herald-probability grid"),
+        **_COMMON,
+    }),
+    "ft-region": (cmd_ft_region, "fault-tolerance region sweep",
+                  ("epsilon", "gamma", "big_n"), {
+        "curve": (_text, "threshold curve CSV (default: shipped synthetic)"),
+        "epsilon": (_parse_floats, "gate-error grid"),
+        "gamma": (_parse_floats, "loss grid"),
+        "big_n": (_parse_copies, "copy counts, powers of two"),
+        **_COMMON,
+    }),
 }
 
 
@@ -638,69 +671,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Averaged linear-optics gates: formulas, sampling, regions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with flag values")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="write the table here instead of stdout")
-        p.add_argument("--svg", help="also write an SVG line chart")
-        p.add_argument("--dump-config", dest="dump_config",
-                       help="serialize the effective run config to this path")
-
-    p = sub.add_parser("analytic", help="evaluate closed-form laws on a grid")
-    p.add_argument("--formula", help="which law to evaluate")
-    p.add_argument("--nu", action="append", help="variance grid (repeat or comma-list)")
-    p.add_argument("--big-n", dest="big_n", action="append",
-                   help="copy counts; 'inf' allowed")
-    p.add_argument("--variant", help="restrict to one printed variant")
-    common(p)
-
-    p = sub.add_parser("mc", help="Monte Carlo success probabilities")
-    p.add_argument("--family", choices=("single-qubit", "type2", "four-mode"))
-    p.add_argument("--nu", action="append")
-    p.add_argument("--big-n", dest="big_n", action="append")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report", help="write the discrimination report JSON here")
-    common(p)
-
-    p = sub.add_parser("encode-check", help="encoder-jitter scaling experiment")
-    p.add_argument("--levels", action="append", help="tree depths n (N = 2^n)")
-    p.add_argument("--delta-theta", dest="delta_theta", action="append")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gate", help="target gate name (I, X, Y, Z, H)")
-    p.add_argument("--alpha", type=float, help="phase for the Z gate family")
-    p.add_argument("--independent", action="store_true", default=None,
-                   help="jitter each rail splitter separately")
-    common(p)
-
-    p = sub.add_parser("parity", help="parity-code recovery probabilities")
-    p.add_argument("--n", type=int, help="qubits per parity block")
-    p.add_argument("--q", type=int, help="redundant copies")
-    p.add_argument("--p", action="append", help="herald-probability grid")
-    common(p)
-
-    p = sub.add_parser("ft-region", help="fault-tolerance region sweep")
-    p.add_argument("--curve", help="threshold curve CSV (default: shipped synthetic)")
-    p.add_argument("--epsilon", action="append")
-    p.add_argument("--gamma", action="append")
-    p.add_argument("--big-n", dest="big_n", action="append")
-    common(p)
-
+    for name, (_, help_, _, fields) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for dest, (kind, field_help) in fields.items():
+            action = ({"action": "append"} if kind in _REPEATED
+                      else {"action": "store_const", "const": True} if kind is _switch
+                      else {})
+            p.add_argument(_flag(dest), dest=dest, help=field_help, **action)
+        p.add_argument("--config", help="JSON file with field values; flags override it")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Config values overridden by flags, each parsed once by its field's kind."""
     sub = args.subcommand
-    given = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("subcommand", "config") and v is not None
+    _, _, required, fields = _SUBCOMMANDS[sub]
+    raw = _read_config(args.config, sub) if args.config else {}
+    for key in raw:
+        if key not in fields:
+            raise UsageError(f"{sub} has no field {key!r} (no flag {_flag(key)})")
+    raw.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
+    params = {
+        dest: kind(raw[dest], _flag(dest)) if raw.get(dest) is not None
+        else [] if kind in _REPEATED else None
+        for dest, (kind, _) in fields.items()
     }
-    params: dict = {}
-    if args.config:
-        params.update(RunConfig.from_file(args.config, sub).params)
-    params.update(given)
+    for dest in required:
+        if params[dest] in (None, []):
+            raise UsageError(f"{sub} needs {_flag(dest)}")
     return RunConfig(sub, params)
 
 
@@ -712,7 +710,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _merge_config(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[cfg.subcommand][0](cfg)
     except UsageError as exc:
         print(f"uasim: {exc}", file=sys.stderr)
         return 2

@@ -4,11 +4,16 @@ Everything runs through ``main(argv)`` in-process; stdout still goes through
 the normal emit path, so byte-level determinism checks are meaningful.
 """
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uasim.cli import main
 from uasim.formulas import effective_rates
@@ -100,10 +105,18 @@ def test_analytic_usage_errors(run, argv):
         ("encode-check", "--levels", "1", "--delta-theta", "inf,1e-3", "--seed", "5"),
         ("encode-check", "--levels", "1", "--delta-theta", "1e-3,1e-4", "--seed", "5",
          "--gate", "Z", "--alpha", "nan"),
+        ("analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "nan"),
+        ("analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "2,-inf"),
+        ("analytic", "--formula", "ps-single", "--nu", "1e200", "--big-n", "2"),
+        ("mc", "--nu", "1e300", "--big-n", "2", "--samples", "10", "--seed", "1"),
+        # offsets this small leave the success branch unmoved: no slope to fit
+        ("encode-check", "--levels", "1", "--delta-theta", "1e-300,1e-299", "--seed", "1"),
     ],
     ids=[
         "mc-nu-nan", "mc-nu-inf", "mc-nu-negative", "mc-type2-nu-negative",
         "analytic-nu-nan", "encode-levels-nan", "encode-delta-inf", "encode-alpha-nan",
+        "analytic-big-n-nan", "analytic-big-n-negative-inf", "analytic-nu-overflow",
+        "mc-nu-overflow", "encode-zero-deviation",
     ],
 )
 def test_bad_numbers_are_usage_errors(run, argv):
@@ -130,6 +143,37 @@ def test_config_integer_fields_reject_bools_and_fractions(run, tmp_path, config,
     cfg.write_text(json.dumps(config))
     code, out, err = run(config["subcommand"], "--config", str(cfg))
     assert code == 2
+    assert flag in err
+    assert out == ""
+
+
+MC_CONFIG = {"subcommand": "mc", "nu": ["0.01"], "big_n": ["2"], "samples": 100, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "config, flag",
+    [
+        (dict(MC_CONFIG, famly="type2"), "--famly"),
+        ({"subcommand": "parity", "n": 2, "q": 2, "p": ["0.1"], "samples": 100}, "--samples"),
+        ({"subcommand": "encode-check", "levels": ["1"], "delta_theta": ["1e-3,1e-4"],
+          "seed": 5, "independent": "false"}, "--independent"),
+        ({"subcommand": "analytic", "formula": "ps-single", "nu": ["0.01"], "big_n": ["2"],
+          "out": 2}, "--out"),
+        ({"subcommand": "analytic", "formula": ["ps-single"], "nu": ["0.01"],
+          "big_n": ["2"]}, "--formula"),
+        ({"subcommand": "encode-check", "levels": ["1"], "delta_theta": ["1e-3,1e-4"],
+          "seed": 5, "gate": ["H"]}, "--gate"),
+        (dict(MC_CONFIG, family=["type2"]), "--family"),
+    ],
+    ids=["unknown-key", "other-subcommand-key", "switch-as-text", "out-as-number",
+         "formula-list", "gate-list", "family-list"],
+)
+def test_config_fields_are_checked_like_flags(run, tmp_path, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(config["subcommand"], "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("uasim:")
     assert flag in err
     assert out == ""
 
@@ -400,6 +444,40 @@ def test_dump_config_rerun_is_byte_identical(run, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_dump_holds_the_run_not_its_destinations(run, tmp_path):
+    cfg, table, report, svg = (tmp_path / name for name in
+                               ("cfg.json", "t.csv", "r.json", "p.svg"))
+    code, _, _ = run(
+        "mc", "--nu", "0.005,0.01,0.02", "--big-n", "2", "--samples", "500",
+        "--seed", "7", "--out", str(table), "--report", str(report), "--svg", str(svg),
+        "--dump-config", str(cfg),
+    )
+    assert code == 0
+    text = cfg.read_text()
+    assert str(tmp_path) not in text
+    assert json.loads(text) == {
+        "subcommand": "mc", "nu": [0.005, 0.01, 0.02], "big_n": [2], "samples": 500,
+        "seed": 7,
+    }
+    original = table.read_bytes()
+    # a replay without --out prints the same table and leaves the original alone
+    code, out, _ = run("mc", "--config", str(cfg))
+    assert code == 0
+    assert out.encode() == original
+    assert table.read_bytes() == original
+
+
+def test_config_with_destinations_still_loads(run, tmp_path):
+    table = tmp_path / "t.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "parity", "n": 2, "q": 2, "p": ["0.1"],
+                               "out": str(table)}))
+    code, out, _ = run("parity", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert table.read_text() == run("parity", "--n", "2", "--q", "2", "--p", "0.1")[1]
+
+
 def test_cli_flags_override_config(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -467,3 +545,66 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,q,p,success_prob\n")
+
+
+# ---------------------------------------------------------------------------
+# any config value: exit 0, 2 or 3, never an internal error
+# ---------------------------------------------------------------------------
+
+# A small valid config per subcommand, and the fields a property test may
+# replace.  Destinations and --curve name files, so they are never drawn;
+# integers stay small so that any drawn run is fast.
+VALID_CONFIGS = {
+    "analytic": ({"formula": "ps-single", "nu": [0.01], "big_n": [2]},
+                 ("formula", "nu", "big_n", "variant", "format")),
+    "mc": ({"nu": [0.01], "big_n": [2], "samples": 16, "seed": 1},
+           ("family", "nu", "big_n", "samples", "seed", "format")),
+    "encode-check": ({"levels": [1], "delta_theta": [1e-3, 1e-4], "seed": 1},
+                     ("levels", "delta_theta", "seed", "gate", "alpha", "independent",
+                      "format")),
+    "parity": ({"n": 2, "q": 2, "p": [0.1]}, ("n", "q", "p", "format")),
+    "ft-region": ({"epsilon": [1e-3], "gamma": [0.0], "big_n": [1, 4]},
+                  ("epsilon", "gamma", "big_n", "format")),
+}
+NOT_DRAWN = {"out", "svg", "report", "dump_config", "curve", "subcommand"}
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-4, 128) | st.floats(-4, 128)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.sampled_from(["", "inf", "nan", "-1", "0", "2", "1e-3", "0.01,0.02", "H", "Z",
+                       "type2", "json", "main", "ps-single", "true"])
+    | st.text(alphabet="0123456789.,-+eE infaHXYZ", max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    sub = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    config, fields = VALID_CONFIGS[sub]
+    key = draw(
+        st.sampled_from(fields)
+        | st.sampled_from(["famly", "samples", "levels", "config", "big-n"])
+        | st.text(max_size=4).filter(lambda k: k not in NOT_DRAWN)
+    )
+    return sub, {"subcommand": sub, **config, key: draw(json_values)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_configs())
+def test_any_config_value_exits_0_2_or_3(tmp_path, case):
+    sub, config = case
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([sub, "--config", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("uasim:")
