@@ -7,6 +7,10 @@ gates; the remaining outcomes apply signed averages whose sign patterns are
 the rows of the n-fold Hadamard transform.
 
 Modes are copy-major: mode = copy * rails + rail.
+
+Photon states are dense: one photon is its rails vector ``psi``, postselected
+as ``success_branch(circuit) @ psi``; a pair is a monomial matrix S (see
+``pair_state``), postselected as ``evolve_pair(success_branch(circuit), S)``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import PhotonicState, apply_matrix, vacuum_project
 from .gates import NoiseSpec, sample_deltas
 
 __all__ = [
@@ -31,8 +34,8 @@ __all__ = [
     "num_splitter_deltas",
     "success_branch",
     "herald_branch",
-    "run_postselected",
-    "fidelity_vs_target",
+    "pair_state",
+    "evolve_pair",
     "encoder_error_scaling",
 ]
 
@@ -100,14 +103,6 @@ class EncodedCircuit:
     matrix: np.ndarray
     num_copies: int
     rails: int
-
-    @property
-    def success_modes(self) -> tuple[int, ...]:
-        return tuple(range(self.rails))
-
-    @property
-    def error_modes(self) -> tuple[int, ...]:
-        return tuple(range(self.rails, self.num_copies * self.rails))
 
     @property
     def splitter_layers(self) -> int:
@@ -283,25 +278,26 @@ def success_branch(circuit: EncodedCircuit) -> np.ndarray:
     return herald_branch(circuit, 0)
 
 
-def run_postselected(
-    circuit: EncodedCircuit, state: PhotonicState
-) -> tuple[PhotonicState | None, float]:
-    """Send a state through the interferometer and keep the no-photons-leaked
-    outcome.
-
-    Returns the normalized conditional state and the postselection
-    probability; the state is None when the success amplitude vanishes.
+def pair_state(mode_a: int, mode_b: int, num_modes: int) -> np.ndarray:
+    """Symmetric S with |psi> = sum_kl S_kl a†_k a†_l |0> for one photon each in
+    ``mode_a`` and ``mode_b``; the norm squared is 2 sum_kl |S_kl|^2.  A
+    coinciding pair, |2_k> = a†_k a†_k |0> / sqrt(2), puts 1/sqrt(2) on the
+    diagonal; a split pair puts 1/2 on both off-diagonal entries.
     """
-    out = apply_matrix(circuit.matrix, state)
-    kept, ps = vacuum_project(out, circuit.error_modes)
-    if ps == 0.0:
-        return None, 0.0
-    return kept.normalized(), ps
+    if not (0 <= mode_a < num_modes and 0 <= mode_b < num_modes):
+        raise ValueError(f"mode index out of range in {(mode_a, mode_b)}")
+    s = np.zeros((num_modes, num_modes), dtype=complex)
+    if mode_a == mode_b:
+        s[mode_a, mode_a] = 1.0 / math.sqrt(2.0)
+    else:
+        s[mode_a, mode_b] = s[mode_b, mode_a] = 0.5
+    return s
 
 
-def fidelity_vs_target(state: PhotonicState, target: PhotonicState) -> float:
-    """|<target|state>|^2 for normalized states."""
-    return abs(target.overlap(state)) ** 2
+def evolve_pair(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Two-photon action S -> m S m^T of the mode matrix ``m`` (need not be
+    unitary); both may carry leading stack axes."""
+    return m @ s @ np.swapaxes(m, -1, -2)
 
 
 def encoder_error_scaling(

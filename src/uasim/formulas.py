@@ -5,6 +5,13 @@ circuit noise ``v``) and the copy count ``num_copies``; the latter may be
 ``math.inf`` for the fully averaged limit.  Where the literature records more
 than one expansion of the same quantity, the alternatives are kept side by
 side behind a ``variant`` switch instead of being merged.
+
+The postselection laws truncate the exact ensemble law
+P_s = 1/N + (1 - 1/N) c^(2d), c = E[cos delta], for independent offsets of
+variance nu on the d noisy parameters of a path (d = 3 single-qubit, 2 type-II
+fusion, 6 four-mode): gaussian offsets give c = exp(-nu/2), two-point offsets
++-sqrt(nu) give c = cos(sqrt(nu)).  Each coefficient of that law carries a
+factor (1 - 1/N), so a term without it matches no noise model.
 """
 
 from __future__ import annotations
@@ -51,6 +58,12 @@ def success_prob_single(nu: float, num_copies: float, variant: str = "main") -> 
     ``second-order``  1 - 3 nu + 3 nu/N + 9/4 nu^2 + 3 nu^2/N
     ``fourth-order``  adds nu^3 and nu^4 corrections on top of a
                       4 nu^2 (1 - 1/N) second order
+
+    ``main`` is the gaussian law truncated after nu^2.  ``fourth-order``
+    agrees with the two-point law up to nu^2, but its nu^3 and nu^4 terms
+    (-21/8 + 1/(12N), 49/64 + 13/(6N)) match no law; the two-point ones are
+    -47/15 (1 - 1/N) and 169/105 (1 - 1/N).  ``second-order`` matches no law
+    at nu^2.
     """
     nu, big_n = _check(nu, num_copies)
     base = 1.0 - 3.0 * nu + 3.0 * nu / big_n
@@ -94,7 +107,12 @@ def fidelity_single(nu: float, num_copies: float, variant: str = "main") -> floa
 
 def success_prob_four_mode(nu: float, num_copies: float) -> float:
     """Postselection probability of the averaged general four-mode gate:
-    1 - 6 nu + 6 nu/N + 18 nu^2 - 18 nu^2/N^2."""
+    1 - 6 nu + 6 nu/N + 18 nu^2 - 18 nu^2/N^2.
+
+    The first order holds for any offset law of variance nu.  The nu^2 term is
+    kept as printed; the gaussian law's second order is 18 nu^2 (1 - 1/N),
+    and 18 nu^2 (1 - 1/N^2) matches no law.
+    """
     nu, big_n = _check(nu, num_copies)
     return 1.0 - 6.0 * nu + 6.0 * nu / big_n + 18.0 * nu**2 - 18.0 * nu**2 / big_n**2
 
@@ -111,7 +129,8 @@ def success_prob_type2(nu: float, num_copies: float, variant: str = "main") -> f
     """Per-photon postselection probability of the averaged fusion network.
 
     ``main`` carries a 2 nu^2 second order, ``alt`` a 5/3 nu^2 one; both share
-    1 - 2 nu (1 - 1/N) at first order.
+    1 - 2 nu (1 - 1/N) at first order.  ``main`` is the gaussian law and
+    ``alt`` the two-point law, each truncated after nu^2.
     """
     nu, big_n = _check(nu, num_copies)
     c2 = _type2_second_order(variant)

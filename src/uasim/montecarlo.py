@@ -35,8 +35,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .averaging import EncoderNoise, build_tree, num_splitter_deltas, success_branch
-from .fock import PhotonicState
+from .averaging import (
+    EncoderNoise,
+    build_tree,
+    evolve_pair,
+    num_splitter_deltas,
+    pair_state,
+    success_branch,
+)
 from .formulas import SINGLE_QUBIT_VARIANTS, success_prob_single
 from .gates import (
     GateParams,
@@ -377,9 +383,8 @@ def estimate_fusion(
     psi = np.zeros(4, dtype=complex)
     psi[single_photon_mode] = 1.0
     target1 = ideal @ psi
-    pair = PhotonicState.two_photon(photon_pair[0], photon_pair[1], 4)
-    s_in = pair.to_monomial_matrix()
-    s_target = ideal @ s_in @ ideal.T
+    s_in = pair_state(photon_pair[0], photon_pair[1], 4)
+    s_target = evolve_pair(ideal, s_in)
     sums1 = _ChunkSums()
     sums2 = _ChunkSums()
     for idx, count in _iter_chunks(samples, chunk_size):
@@ -395,7 +400,7 @@ def estimate_fusion(
         p1 = np.sum(np.abs(out1) ** 2, axis=1)
         a1 = out1 @ np.conj(target1)
         _accumulate_ratio(sums1, a1, p1)
-        s_out = avg @ s_in @ np.swapaxes(avg, -1, -2)
+        s_out = evolve_pair(avg, s_in)
         p2 = 2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2))
         a2 = 2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2))
         _accumulate_ratio(sums2, a2, p2)

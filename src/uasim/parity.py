@@ -267,13 +267,9 @@ def _outer_power(vec: np.ndarray, n: int) -> np.ndarray:
 
 def encoded_state(code: ParityCode, logical: LogicalState) -> np.ndarray:
     """Full encoded amplitude tensor, one axis per physical qubit."""
-    zeros = _outer_power_t(parity_block_state(code.n, 0), code.q)
-    ones = _outer_power_t(parity_block_state(code.n, 1), code.q)
+    zeros = _outer_power(parity_block_state(code.n, 0), code.q)
+    ones = _outer_power(parity_block_state(code.n, 1), code.q)
     return logical.alpha * zeros + logical.beta * ones
-
-
-def _outer_power_t(block: np.ndarray, q: int) -> np.ndarray:
-    return reduce(np.multiply.outer, [block] * q)
 
 
 def _apply_on_axis(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
@@ -397,8 +393,8 @@ def _expected_state(code, pattern, u, logical, outcomes, measured) -> np.ndarray
     for o in outcomes:
         sign *= o
     small = ParityCode(code.n, len(clean))
-    zeros = _outer_power_t(parity_block_state(code.n, 0), small.q)
-    ones = _outer_power_t(parity_block_state(code.n, 1), small.q)
+    zeros = _outer_power(parity_block_state(code.n, 0), small.q)
+    ones = _outer_power(parity_block_state(code.n, 1), small.q)
     block = logical.alpha * zeros + sign * logical.beta * ones
     block = block / np.linalg.norm(block)
     for ax in range(small.physical_qubits):

@@ -110,6 +110,9 @@ def test_argument_validation():
         estimate_end_to_end(0.01, 3, 100, seed=1)
     with pytest.raises(ValueError):
         estimate_fusion(0.01, 2, 100, seed=1, layout="type3")
+    for pair in ((0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="mode index out of range"):
+            estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,42 @@ def test_end_to_end_golden_row(case):
         assert est.samples == 4096
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+# estimate_fusion(0.01, 2, 2000, seed=9, layout=layout, photon_pair=pair) as
+# printed when the pair state came from the sparse Fock representation; the
+# two-photon (P_s, stderr), ratio of means and mean of ratios, bit for bit.
+# (1, 1) puts 1/sqrt(2) on the diagonal of S, (3, 0) fills the far corner.
+FUSION_PAIR_GOLDEN = {
+    ("type2", (1, 1)): (
+        (0.9805114885636668, 0.0002732675456394378),
+        (0.9798204595742698, 0.0002730749565692448),
+        (0.9799726387010427, 0.00027317408753484927),
+    ),
+    ("type2", (3, 0)): (
+        (0.9804499978982022, 0.00021990507302034514),
+        (0.9752493001990696, 0.00029716425721436156),
+        (0.9753798509455488, 0.0002964471576887613),
+    ),
+    ("four-mode", (1, 1)): (
+        (0.9430875989563695, 0.0008327564450067544),
+        (0.9208257989506916, 0.0013889681229257037),
+        (0.962837637481737, 0.0005532823773967154),
+    ),
+    ("four-mode", (3, 0)): (
+        (0.943287169381205, 0.0006172372024007809),
+        (0.9316342473096967, 0.0009140885847295705),
+        (0.9557371967826535, 0.0005070700113453878),
+    ),
+}
+
+
+@pytest.mark.parametrize("layout, pair", sorted(FUSION_PAIR_GOLDEN))
+def test_fusion_pair_state_golden_row(layout, pair):
+    run = estimate_fusion(0.01, 2, 2000, seed=9, layout=layout, photon_pair=pair)
+    two = run.two_photon
+    got = [two.success_prob, two.fidelity.ratio_of_means, two.fidelity.mean_of_ratios]
+    assert [(e.mean, e.stderr) for e in got] == list(FUSION_PAIR_GOLDEN[layout, pair])
 
 
 # ---------------------------------------------------------------------------
