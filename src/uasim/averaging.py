@@ -92,8 +92,10 @@ class EncoderNoise:
     correlated: bool = True
     kind: str = "gaussian"
 
-    def spec(self) -> NoiseSpec:
-        return NoiseSpec(self.variance, self.kind)
+    def draw(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Splitter-angle offsets of the given shape for one tree side; the
+        last axis holds ``num_splitter_deltas(N, rails, correlated)``."""
+        return sample_deltas(NoiseSpec(self.variance, self.kind), shape, rng)
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,6 @@ def _side_matrix(n, rails, deltas, correlated, mirrored):
 def build_tree(
     gates: Sequence[np.ndarray] | np.ndarray,
     *,
-    encoder_noise: EncoderNoise | None = None,
-    rng: np.random.Generator | None = None,
     encoder_deltas: np.ndarray | None = None,
     decoder_deltas: np.ndarray | None = None,
 ) -> EncodedCircuit:
@@ -197,11 +197,11 @@ def build_tree(
     ``matrix`` of the result has shape (..., N * rails, N * rails).  Every
     tree in a stack is bit-identical to the tree built from its slice alone.
 
-    Splitter-angle offsets can either be sampled (``encoder_noise`` plus
-    ``rng``, drawn with shape (..., count)) or injected directly as arrays of
-    shape (..., count), ordered level-major, then pair, then rail along the
-    last axis; injected arrays are taken as-is (``correlated`` applies only
-    to sampling).  With no noise the splitters sit exactly at 50:50.
+    Splitter-angle offsets are arrays of shape (..., count), ordered
+    level-major, then pair, then rail along the last axis; random ones come
+    from ``EncoderNoise.draw``.  The count tells correlated offsets (one per
+    copy pair) from independent ones (one per rail splitter).  Missing
+    offsets leave the splitters exactly at 50:50.
     """
     try:
         g = np.asarray(gates, dtype=complex)
@@ -217,43 +217,32 @@ def build_tree(
     n = N.bit_length() - 1
     total = N * rails
 
-    if encoder_noise is not None:
-        if encoder_deltas is not None or decoder_deltas is not None:
-            raise ValueError("pass sampled noise or explicit deltas, not both")
-        if rng is None:
-            raise ValueError("sampling encoder noise needs an rng")
-        count = num_splitter_deltas(N, rails, encoder_noise.correlated)
-        spec = encoder_noise.spec()
-        encoder_deltas = sample_deltas(spec, lead + (count,), rng)
-        decoder_deltas = sample_deltas(spec, lead + (count,), rng)
-        correlated = encoder_noise.correlated
-    else:
-        per_side_corr = num_splitter_deltas(N, rails, True)
-        if encoder_deltas is None:
-            encoder_deltas = np.zeros(lead + (per_side_corr,))
-        if decoder_deltas is None:
-            decoder_deltas = np.zeros(lead + (per_side_corr,))
-        encoder_deltas = np.asarray(encoder_deltas, dtype=float)
-        decoder_deltas = np.asarray(decoder_deltas, dtype=float)
-        for d in (encoder_deltas, decoder_deltas):
-            if d.ndim == 0 or d.shape[:-1] != lead:
-                raise ValueError(
-                    f"delta arrays need the gates' lead shape {lead} plus one "
-                    f"axis, got shape {d.shape}"
-                )
-        per_side_ind = num_splitter_deltas(N, rails, False)
-        size = encoder_deltas.shape[-1]
-        if size == per_side_corr:
-            correlated = True
-        elif size == per_side_ind:
-            correlated = False
-        else:
+    per_side_corr = num_splitter_deltas(N, rails, True)
+    if encoder_deltas is None:
+        encoder_deltas = np.zeros(lead + (per_side_corr,))
+    if decoder_deltas is None:
+        decoder_deltas = np.zeros(lead + (per_side_corr,))
+    encoder_deltas = np.asarray(encoder_deltas, dtype=float)
+    decoder_deltas = np.asarray(decoder_deltas, dtype=float)
+    for d in (encoder_deltas, decoder_deltas):
+        if d.ndim == 0 or d.shape[:-1] != lead:
             raise ValueError(
-                f"expected {per_side_corr} (correlated) or {per_side_ind} "
-                f"(independent) deltas per side, got {size}"
+                f"delta arrays need the gates' lead shape {lead} plus one "
+                f"axis, got shape {d.shape}"
             )
-        if decoder_deltas.shape[-1] != size:
-            raise ValueError("encoder and decoder delta arrays must match in size")
+    per_side_ind = num_splitter_deltas(N, rails, False)
+    size = encoder_deltas.shape[-1]
+    if size == per_side_corr:
+        correlated = True
+    elif size == per_side_ind:
+        correlated = False
+    else:
+        raise ValueError(
+            f"expected {per_side_corr} (correlated) or {per_side_ind} "
+            f"(independent) deltas per side, got {size}"
+        )
+    if decoder_deltas.shape[-1] != size:
+        raise ValueError("encoder and decoder delta arrays must match in size")
 
     if n == 0:
         return EncodedCircuit(g[..., 0, :, :], 1, rails)

@@ -384,6 +384,12 @@ _MC_COLUMNS = {
 }
 
 
+def _unallocatable(big_n: int) -> UsageError:
+    return UsageError(
+        f"--big-n {big_n}: the noise draw for that many copies does not fit in memory"
+    )
+
+
 def cmd_mc(cfg: RunConfig) -> int:
     """Monte Carlo success probabilities beside every analytic variant."""
     p = cfg.params
@@ -398,6 +404,8 @@ def cmd_mc(cfg: RunConfig) -> int:
             points = grid_estimates(nus, copies, samples, seed=seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        except MemoryError:
+            raise _unallocatable(max(copies)) from None
         for pt in points:
             nu, big_n = pt["nu"], pt["num_copies"]
             rows.append(
@@ -437,6 +445,8 @@ def cmd_mc(cfg: RunConfig) -> int:
                 )
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
+            except MemoryError:
+                raise _unallocatable(big_n) from None
             row = {
                 "nu": nu,
                 "N": _label_n(big_n),

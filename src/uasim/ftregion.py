@@ -161,13 +161,10 @@ class RegionQuery:
 def is_fault_tolerant(query: RegionQuery, curve: ThresholdCurve) -> bool:
     """Whether the averaged operating point lands on or under the curve.
 
-    Effective rates are compared conservatively: an effective error outside
-    the curve's data extent counts as not fault-tolerant rather than
-    extrapolating the threshold.
+    The verdict is the one ``sweep_region`` gives the single point.
     """
-    err, loss = effective_rates(query.epsilon, query.gamma, query.num_copies)
-    limit = curve.gamma_at(err)
-    return limit is not None and loss <= limit
+    point = sweep_region([query.epsilon], [query.gamma], [query.num_copies], curve)[0]
+    return point.fault_tolerant
 
 
 @dataclass(frozen=True)
@@ -186,16 +183,21 @@ def sweep_region(
     n_list: Sequence[int],
     curve: ThresholdCurve,
 ) -> list[SweepPoint]:
-    """Verdict for every (epsilon, gamma, N) combination, N-major order."""
+    """Verdict for every (epsilon, gamma, N) combination, N-major order.
+
+    Effective rates are compared conservatively: an effective error outside
+    the curve's data extent counts as not fault-tolerant rather than
+    extrapolating the threshold.
+    """
     out = []
     for n in n_list:
         for eps in eps_grid:
             for gam in gamma_grid:
-                q = RegionQuery(eps, gam, n)
+                RegionQuery(eps, gam, n)  # validates the point
                 err, loss = effective_rates(eps, gam, n)
-                out.append(
-                    SweepPoint(eps, gam, n, err, loss, is_fault_tolerant(q, curve))
-                )
+                limit = curve.gamma_at(err)
+                ok = limit is not None and loss <= limit
+                out.append(SweepPoint(eps, gam, n, err, loss, ok))
     return out
 
 

@@ -130,18 +130,6 @@ class NoiseSpec:
             if self.variance > 0 and self.fourth_moment < self.variance**2:
                 raise ValueError("fourth moment must be >= variance^2")
 
-    @classmethod
-    def gaussian(cls, variance: float) -> "NoiseSpec":
-        return cls(variance, "gaussian")
-
-    @classmethod
-    def uniform(cls, variance: float) -> "NoiseSpec":
-        return cls(variance, "uniform")
-
-    @classmethod
-    def four_moment(cls, variance: float, m4: float) -> "NoiseSpec":
-        return cls(variance, "four-moment", m4)
-
 
 def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray:
     """Draw parameter offsets of the given shape.

@@ -2,11 +2,14 @@
 
 Sampling layout
 ---------------
-Runs are split into fixed-size chunks; chunk i of a run with master seed s
-draws from ``SeedSequence([s, stream, i])``, so results are reproducible
-bit-for-bit and independent of how chunks are scheduled.  Per-chunk partial
-sums are reduced with ``math.fsum`` (exactly rounded), which makes the final
-estimate invariant under permutations of the chunk order.
+Every estimator runs through ``_sweep``: runs are split into fixed-size
+chunks, and chunk i of a run with master seed s draws from
+``SeedSequence([s, stream, i])``, so results are reproducible bit-for-bit and
+independent of how chunks are scheduled.  An estimator only supplies the
+(amplitude, probability) arrays of one chunk; ``_sweep`` keeps each chunk's
+row of moment sums, and ``_finalize`` reduces every column with ``math.fsum``
+(exactly rounded), which makes the final estimate invariant under
+permutations of the chunk order.
 
 Estimators
 ----------
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,33 +130,68 @@ def _iter_chunks(samples: int, chunk_size: int) -> Iterator[tuple[int, int]]:
         yield full, rest
 
 
-class _ChunkSums:
-    """Named partial sums, one entry per chunk, reduced exactly at the end."""
+def _moments(a: np.ndarray, p: np.ndarray) -> list[float]:
+    """One chunk's row of sums of (x, y, q, r) and of their needed products.
 
-    def __init__(self):
-        self._data: dict[str, list[float]] = {}
-
-    def add(self, **vals: float) -> None:
-        for key, val in vals.items():
-            self._data.setdefault(key, []).append(float(val))
-
-    def total(self, key: str) -> float:
-        return math.fsum(self._data.get(key, [0.0]))
-
-
-def _mean_var(sums: _ChunkSums, n: int, key: str) -> tuple[float, float]:
-    """Mean (about the accumulation shift) and sample variance of one series.
-
-    The squared sums are stored under the doubled key ("x" -> "xx").
+    x + iy = a - 1, q = p - 1 and r = |a|^2 / p - 1: the target amplitude,
+    success probability and conditional fidelity about the zero-noise point
+    (a = 1, p = 1), which keeps the running sums well conditioned.
     """
-    m = sums.total(key) / n
-    var = (sums.total(key * 2) - n * m * m) / (n - 1)
-    return m, max(var, 0.0)
+    x = a.real - 1.0
+    y = a.imag
+    q = p - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(p > 0.0, np.abs(a) ** 2 / np.where(p > 0.0, p, 1.0), 0.0)
+    r -= 1.0
+    # each product is summed as soon as it is formed; holding all seven costs cache
+    products = ((x, x), (y, y), (q, q), (r, r), (x, y), (x, q), (y, q))
+    return [float(np.sum(c)) for c in (x, y, q, r)] + [
+        float(np.sum(u * v)) for u, v in products
+    ]
 
 
-def _point_estimate(sums: _ChunkSums, n: int, key: str, shift: float) -> McEstimate:
-    m, var = _mean_var(sums, n, key)
-    return McEstimate(shift + m, math.sqrt(var / n), n)
+def _finalize(rows: Sequence[Sequence[float]], n: int) -> GateRunResult:
+    """Estimates from the per-chunk moment rows of one (a, p) series.
+
+    Each column is reduced with ``math.fsum``, so the chunk order does not
+    matter.  The ratio-of-means stderr comes from first-order error
+    propagation through F = (Re^2 + Im^2) / P using the sample covariance of
+    (Re a, Im a, P).
+    """
+    sx, sy, sp, sr, sxx, syy, spp, srr, sxy, sxp, syp = map(math.fsum, zip(*rows))
+    mx, my, mp, mr = sx / n, sy / n, sp / n, sr / n
+
+    def cov(total: float, u: float, v: float) -> float:
+        return (total - n * u * v) / (n - 1)
+
+    vxx, vyy, vpp, vrr = (
+        max(cov(s, m, m), 0.0) for s, m in ((sxx, mx), (syy, my), (spp, mp), (srr, mr))
+    )
+    cxy, cxp, cyp = cov(sxy, mx, my), cov(sxp, mx, mp), cov(syp, my, mp)
+    ax, ay, pbar = 1.0 + mx, my, 1.0 + mp
+    if pbar <= 0:
+        raise ValueError("mean success probability is not positive")
+    fid = (ax * ax + ay * ay) / pbar
+    g = np.array([2.0 * ax / pbar, 2.0 * ay / pbar, -fid / pbar])
+    cov_m = np.array([[vxx, cxy, cxp], [cxy, vyy, cyp], [cxp, cyp, vpp]])
+    var_f = float(g @ cov_m @ g)
+    rom = McEstimate(fid, math.sqrt(max(var_f, 0.0) / n), n)
+    mor = McEstimate(1.0 + mr, math.sqrt(vrr / n), n)
+    ps = McEstimate(1.0 + mp, math.sqrt(vpp / n), n)
+    return GateRunResult(ps, FidelityEstimate(rom, mor))
+
+
+def _sweep(samples: int, chunk_size: int, chunk: Callable) -> list[GateRunResult]:
+    """Run ``chunk(idx, count)`` over every chunk and finalize each series.
+
+    ``chunk`` returns one (amplitude, probability) array pair per series; the
+    moment rows of every chunk are kept and reduced once at the end.
+    """
+    rows = [
+        [_moments(a, p) for a, p in chunk(idx, count)]
+        for idx, count in _iter_chunks(samples, chunk_size)
+    ]
+    return [_finalize(series, samples) for series in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,64 +213,6 @@ def _batched_single_qubit_out(
     out0 = np.exp(1j * (base.chi1 + deltas[..., 3])) * (s * u + c * v)
     out1 = np.exp(1j * (base.chi2 + deltas[..., 4])) * (c * u - s * v)
     return out0, out1
-
-
-# ---------------------------------------------------------------------------
-# shared accumulation for (amplitude, probability) sweeps
-# ---------------------------------------------------------------------------
-
-
-def _accumulate_ratio(sums: _ChunkSums, a: np.ndarray, p: np.ndarray) -> None:
-    """Push one chunk of target amplitudes and success probabilities.
-
-    Accumulated about the zero-noise point (a = 1, p = 1) to keep the running
-    sums well conditioned.
-    """
-    x = a.real - 1.0
-    y = a.imag
-    q = p - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(p > 0.0, np.abs(a) ** 2 / np.where(p > 0.0, p, 1.0), 0.0)
-    r -= 1.0
-    sums.add(
-        x=np.sum(x),
-        y=np.sum(y),
-        p=np.sum(q),
-        xx=np.sum(x * x),
-        yy=np.sum(y * y),
-        pp=np.sum(q * q),
-        xy=np.sum(x * y),
-        xp=np.sum(x * q),
-        yp=np.sum(y * q),
-        r=np.sum(r),
-        rr=np.sum(r * r),
-    )
-
-
-def _finalize_ratio(sums: _ChunkSums, n: int) -> GateRunResult:
-    """Turn accumulated amplitude/probability moments into estimates.
-
-    The ratio-of-means stderr comes from first-order error propagation
-    through F = (Re^2 + Im^2) / P using the sample covariance of
-    (Re a, Im a, P).
-    """
-    mx, vxx = _mean_var(sums, n, "x")
-    my, vyy = _mean_var(sums, n, "y")
-    mp, vpp = _mean_var(sums, n, "p")
-    cxy = (sums.total("xy") - n * mx * my) / (n - 1)
-    cxp = (sums.total("xp") - n * mx * mp) / (n - 1)
-    cyp = (sums.total("yp") - n * my * mp) / (n - 1)
-    ax, ay, pbar = 1.0 + mx, my, 1.0 + mp
-    if pbar <= 0:
-        raise ValueError("mean success probability is not positive")
-    fid = (ax * ax + ay * ay) / pbar
-    g = np.array([2.0 * ax / pbar, 2.0 * ay / pbar, -fid / pbar])
-    cov = np.array([[vxx, cxy, cxp], [cxy, vyy, cyp], [cxp, cyp, vpp]])
-    var_f = float(g @ cov @ g)
-    rom = McEstimate(fid, math.sqrt(max(var_f, 0.0) / n), n)
-    mor = _point_estimate(sums, n, "r", 1.0)
-    ps = McEstimate(1.0 + mp, math.sqrt(vpp / n), n)
-    return GateRunResult(ps, FidelityEstimate(rom, mor))
 
 
 def _noise_spec(nu: float, kind: str, fourth_moment: float | None) -> NoiseSpec:
@@ -279,17 +259,17 @@ def estimate_fidelity(
     noise = _noise_spec(nu, kind, fourth_moment)
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
-    sums = _ChunkSums()
-    for idx, count in _iter_chunks(samples, chunk_size):
+
+    def chunk(idx: int, count: int):
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
         out0, out1 = _batched_single_qubit_out(base, deltas, psi)
         m0 = out0.mean(axis=1)
         m1 = out1.mean(axis=1)
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
-        p = np.abs(m0) ** 2 + np.abs(m1) ** 2
-        _accumulate_ratio(sums, a, p)
-    return _finalize_ratio(sums, samples)
+        return [(a, np.abs(m0) ** 2 + np.abs(m1) ** 2)]
+
+    return _sweep(samples, chunk_size, chunk)[0]
 
 
 def estimate_end_to_end(
@@ -319,13 +299,11 @@ def estimate_end_to_end(
     noise = _noise_spec(nu, kind, fourth_moment)
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
-    n_deltas = (
-        num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
-        if encoder_noise is not None and num_copies > 1
-        else 0
-    )
-    sums = _ChunkSums()
-    for idx, count in _iter_chunks(samples, chunk_size):
+    n_deltas = 0
+    if encoder_noise is not None:
+        n_deltas = num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
+
+    def chunk(idx: int, count: int):
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         # the offsets are freed as soon as the gates are built
         gates_mat = single_qubit_matrix(
@@ -333,8 +311,8 @@ def estimate_end_to_end(
         )
         if n_deltas:
             srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
-            enc = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
-            dec = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
+            enc = encoder_noise.draw((count, n_deltas), srng)
+            dec = encoder_noise.draw((count, n_deltas), srng)
         amps = np.empty(count, dtype=complex)
         probs = np.empty(count)
         for lo in range(0, count, _TREES_PER_SLICE):
@@ -348,8 +326,9 @@ def estimate_end_to_end(
             # Per-tree vector dot products, the same BLAS calls as one tree.
             amps[part] = (np.conj(target) @ out[:, :, None])[:, 0]
             probs[part] = (np.conj(out)[:, None, :] @ out[:, :, None])[:, 0, 0].real
-        _accumulate_ratio(sums, amps, probs)
-    return _finalize_ratio(sums, samples)
+        return [(amps, probs)]
+
+    return _sweep(samples, chunk_size, chunk)[0]
 
 
 def estimate_fusion(
@@ -376,6 +355,8 @@ def estimate_fusion(
         raise ValueError("num_copies must be at least 1")
     if layout not in ("type2", "four-mode"):
         raise ValueError(f"unknown layout {layout!r}")
+    if not 0 <= single_photon_mode < 4:
+        raise ValueError(f"mode index out of range in {single_photon_mode=}")
     if kind is None:
         kind = "four-moment" if layout == "type2" else "gaussian"
     noise = _noise_spec(nu, kind, fourth_moment)
@@ -385,9 +366,8 @@ def estimate_fusion(
     target1 = ideal @ psi
     s_in = pair_state(photon_pair[0], photon_pair[1], 4)
     s_target = evolve_pair(ideal, s_in)
-    sums1 = _ChunkSums()
-    sums2 = _ChunkSums()
-    for idx, count in _iter_chunks(samples, chunk_size):
+
+    def chunk(idx: int, count: int):
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         if layout == "type2":
             deltas = sample_deltas(noise, (count, num_copies, 4), rng)
@@ -397,17 +377,16 @@ def estimate_fusion(
             mats = four_mode_matrix(deltas=deltas)
         avg = mats.mean(axis=1)
         out1 = avg @ psi
-        p1 = np.sum(np.abs(out1) ** 2, axis=1)
-        a1 = out1 @ np.conj(target1)
-        _accumulate_ratio(sums1, a1, p1)
         s_out = evolve_pair(avg, s_in)
-        p2 = 2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2))
-        a2 = 2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2))
-        _accumulate_ratio(sums2, a2, p2)
-    return FusionRunResult(
-        per_photon=_finalize_ratio(sums1, samples),
-        two_photon=_finalize_ratio(sums2, samples),
-    )
+        return [
+            (out1 @ np.conj(target1), np.sum(np.abs(out1) ** 2, axis=1)),
+            (
+                2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2)),
+                2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2)),
+            ),
+        ]
+
+    return FusionRunResult(*_sweep(samples, chunk_size, chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +465,6 @@ def grid_estimates(
     samples_per_point: int,
     *,
     seed: int,
-    gate: GateParams | None = None,
-    kind: str = "gaussian",
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[dict]:
     """Success probability and ratio-of-means fidelity over the (nu, N) grid.
@@ -502,8 +479,6 @@ def grid_estimates(
             big_n,
             samples_per_point,
             seed=derive_point_seed(seed, i),
-            gate=gate,
-            kind=kind,
             chunk_size=chunk_size,
         )
         est = run.success_prob

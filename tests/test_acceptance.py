@@ -14,7 +14,6 @@ deterministic end to end.
 
 import csv
 import json
-import math
 import time
 from fractions import Fraction
 from itertools import combinations, product

@@ -26,7 +26,7 @@ from uasim.averaging import (
     pair_state,
     success_branch,
 )
-from uasim.gates import named_gate, sample_deltas, single_qubit_matrix
+from uasim.gates import NoiseSpec, named_gate, sample_deltas, single_qubit_matrix
 
 RNG = np.random.default_rng(77)
 
@@ -302,15 +302,6 @@ def test_injected_delta_sizes_are_validated():
         build_tree(mats, encoder_deltas=np.zeros(3))
     with pytest.raises(ValueError, match="match in size"):
         build_tree(mats, encoder_deltas=np.zeros(4), decoder_deltas=np.zeros(8))
-    with pytest.raises(ValueError, match="not both"):
-        build_tree(
-            mats,
-            encoder_noise=EncoderNoise(1e-6),
-            rng=np.random.default_rng(0),
-            encoder_deltas=np.zeros(4),
-        )
-    with pytest.raises(ValueError, match="rng"):
-        build_tree(mats, encoder_noise=EncoderNoise(1e-6))
 
 
 def test_gate_list_validation():
@@ -341,15 +332,20 @@ def test_correlated_deltas_equal_duplicated_independent_ones():
 
 def test_noisy_tree_is_still_unitary():
     mats = [random_unitary(2) for _ in range(8)]
-    circ = build_tree(
-        mats, encoder_noise=EncoderNoise(1e-4, correlated=False), rng=np.random.default_rng(9)
-    )
+    noise, rng = EncoderNoise(1e-4, correlated=False), np.random.default_rng(9)
+    count = num_splitter_deltas(8, 2, noise.correlated)
+    enc, dec = noise.draw((count,), rng), noise.draw((count,), rng)
+    circ = build_tree(mats, encoder_deltas=enc, decoder_deltas=dec)
     assert is_unitary(circ.matrix, tol=1e-10)
 
 
 def test_sampled_zero_variance_matches_ideal_tree():
     mats = [random_unitary(2) for _ in range(4)]
-    noisy = build_tree(mats, encoder_noise=EncoderNoise(0.0), rng=np.random.default_rng(1))
+    noise, rng = EncoderNoise(0.0), np.random.default_rng(1)
+    count = num_splitter_deltas(4, 2, noise.correlated)
+    noisy = build_tree(
+        mats, encoder_deltas=noise.draw((count,), rng), decoder_deltas=noise.draw((count,), rng)
+    )
     np.testing.assert_array_equal(noisy.matrix, build_tree(mats).matrix)
 
 
@@ -391,10 +387,13 @@ def test_stacked_trees_equal_single_trees_bit_for_bit(num_copies, correlated, le
     stack = build_tree(gates, encoder_deltas=enc, decoder_deltas=dec)
     bare = build_tree(gates)
     noise = EncoderNoise(1e-3, correlated=correlated)
-    sampled = build_tree(gates, encoder_noise=noise, rng=np.random.default_rng(5))
+    draw_rng = np.random.default_rng(5)
+    enc_drawn = noise.draw(lead + (count,), draw_rng)
+    dec_drawn = noise.draw(lead + (count,), draw_rng)
+    sampled = build_tree(gates, encoder_deltas=enc_drawn, decoder_deltas=dec_drawn)
     redraw = np.random.default_rng(5)
-    enc_drawn = sample_deltas(noise.spec(), lead + (count,), redraw)
-    dec_drawn = sample_deltas(noise.spec(), lead + (count,), redraw)
+    assert np.array_equal(enc_drawn, sample_deltas(NoiseSpec(1e-3), lead + (count,), redraw))
+    assert np.array_equal(dec_drawn, sample_deltas(NoiseSpec(1e-3), lead + (count,), redraw))
     assert stack.matrix.shape == lead + (2 * num_copies, 2 * num_copies)
     for idx in np.ndindex(*lead):
         one = build_tree(list(gates[idx]), encoder_deltas=enc[idx], decoder_deltas=dec[idx])

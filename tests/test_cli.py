@@ -111,12 +111,18 @@ def test_analytic_usage_errors(run, argv):
         ("mc", "--nu", "1e300", "--big-n", "2", "--samples", "10", "--seed", "1"),
         # offsets this small leave the success branch unmoved: no slope to fit
         ("encode-check", "--levels", "1", "--delta-theta", "1e-300,1e-299", "--seed", "1"),
+        # 2**40 copies: the noise draw is larger than any address space, so
+        # the allocation fails at once and nothing is committed
+        ("mc", "--nu", "0.01", "--big-n", "1099511627776", "--samples", "10", "--seed", "1"),
+        ("mc", "--family", "type2", "--nu", "0.01", "--big-n", "1099511627776",
+         "--samples", "10", "--seed", "1"),
     ],
     ids=[
         "mc-nu-nan", "mc-nu-inf", "mc-nu-negative", "mc-type2-nu-negative",
         "analytic-nu-nan", "encode-levels-nan", "encode-delta-inf", "encode-alpha-nan",
         "analytic-big-n-nan", "analytic-big-n-negative-inf", "analytic-nu-overflow",
-        "mc-nu-overflow", "encode-zero-deviation",
+        "mc-nu-overflow", "encode-zero-deviation", "mc-big-n-unallocatable",
+        "mc-type2-big-n-unallocatable",
     ],
 )
 def test_bad_numbers_are_usage_errors(run, argv):

@@ -88,27 +88,27 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(0.1, kind="four-moment")
     with pytest.raises(ValueError):
-        NoiseSpec.four_moment(0.1, 0.001)  # m4 below variance^2
+        NoiseSpec(0.1, "four-moment", 0.001)  # m4 below variance^2
 
 
 def test_zero_variance_gives_zero_deltas():
     rng = np.random.default_rng(0)
-    d = sample_deltas(NoiseSpec.gaussian(0.0), (100,), rng)
+    d = sample_deltas(NoiseSpec(0.0, "gaussian"), (100,), rng)
     assert not d.any()
 
 
 def test_sample_deltas_is_seed_deterministic():
-    a = sample_deltas(NoiseSpec.gaussian(0.01), (64,), np.random.default_rng(7))
-    b = sample_deltas(NoiseSpec.gaussian(0.01), (64,), np.random.default_rng(7))
+    a = sample_deltas(NoiseSpec(0.01, "gaussian"), (64,), np.random.default_rng(7))
+    b = sample_deltas(NoiseSpec(0.01, "gaussian"), (64,), np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize(
     "noise, m4_expected",
     [
-        (NoiseSpec.gaussian(0.01), 3 * 0.01**2),
-        (NoiseSpec.uniform(0.01), 1.8 * 0.01**2),
-        (NoiseSpec.four_moment(0.01, 3 * 0.01**2), 3 * 0.01**2),
+        (NoiseSpec(0.01, "gaussian"), 3 * 0.01**2),
+        (NoiseSpec(0.01, "uniform"), 1.8 * 0.01**2),
+        (NoiseSpec(0.01, "four-moment", 3 * 0.01**2), 3 * 0.01**2),
     ],
 )
 def test_sampled_moments(noise, m4_expected):
@@ -124,7 +124,7 @@ def test_sampled_moments(noise, m4_expected):
 def test_two_point_distribution_is_pure_sign_flip():
     # m4 = nu^2 collapses the three-point law onto +/- sqrt(nu)
     nu = 0.01
-    d = sample_deltas(NoiseSpec.four_moment(nu, nu**2), (4096,), np.random.default_rng(3))
+    d = sample_deltas(NoiseSpec(nu, "four-moment", nu**2), (4096,), np.random.default_rng(3))
     np.testing.assert_allclose(np.abs(d), math.sqrt(nu), atol=1e-15)
 
 

@@ -23,11 +23,11 @@ from uasim.gates import named_gate, sample_deltas, single_qubit_matrix
 from uasim.montecarlo import (
     _STREAM_GATES,
     _STREAM_SPLITTERS,
-    _accumulate_ratio,
     _chunk_rng,
-    _ChunkSums,
-    _finalize_ratio,
+    _finalize,
     _iter_chunks,
+    _moments,
+    _sweep,
     derive_point_seed,
     discriminate,
     estimate_end_to_end,
@@ -72,15 +72,20 @@ def test_different_seeds_differ():
 
 
 def test_chunk_sums_are_order_invariant():
-    """fsum reduction: totals do not depend on the chunk arrival order."""
-    vals = [1e16, 1.0, -1e16, 1e-8, 3.5, -7.25, 2e16, -2e16, 1e-9]
-    totals = set()
-    for perm in ([*vals], [*reversed(vals)], [*vals[::2], *vals[1::2]]):
-        sums = _ChunkSums()
-        for v in perm:
-            sums.add(p=v)
-        totals.add(sums.total("p"))
-    assert len(totals) == 1
+    """fsum reduction: the estimates do not depend on the chunk arrival order."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for count in (5, 7, 3, 11):
+        p = rng.uniform(0.5, 1.0, count)
+        a = np.sqrt(p) * np.exp(1j * rng.normal(scale=0.1, size=count))
+        rows.append(_moments(a, p))
+    # rows that cancel exactly; a plain running sum would depend on the order
+    noise_rows = [[1e16] * 11, [1e-8] * 11, [-1e16] * 11, [3.5] * 11, [-1e-8] * 11, [-3.5] * 11]
+    mixed = [*rows[:2], *noise_rows, *rows[2:]]
+    results = [
+        _finalize(perm, 26) for perm in (mixed, mixed[::-1], [*mixed[::2], *mixed[1::2]])
+    ]
+    assert results == [_finalize(rows, 26)] * 3
 
 
 def test_chunk_size_changes_stream_but_not_statistics():
@@ -113,6 +118,9 @@ def test_argument_validation():
     for pair in ((0, 4), (-1, 0)):
         with pytest.raises(ValueError, match="mode index out of range"):
             estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
+    for mode in (4, -1):
+        with pytest.raises(ValueError, match="mode index out of range"):
+            estimate_fusion(0.01, 2, 100, seed=1, single_photon_mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +250,16 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
         if encoder_noise is not None and num_copies > 1
         else 0
     )
-    sums = _ChunkSums()
-    for idx, count in _iter_chunks(samples, chunk_size):
+
+    def chunk(idx, count):
         rng = _chunk_rng(seed, _STREAM_GATES, idx)
         noise = montecarlo._noise_spec(nu, "gaussian", None)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
         gates_mat = single_qubit_matrix(named_gate("I"), deltas)
         if n_deltas:
             srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
-            enc = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
-            dec = sample_deltas(encoder_noise.spec(), (count, n_deltas), srng)
+            enc = encoder_noise.draw((count, n_deltas), srng)
+            dec = encoder_noise.draw((count, n_deltas), srng)
         amps = np.empty(count, dtype=complex)
         probs = np.empty(count)
         for b in range(count):
@@ -263,8 +271,9 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
             out = success_branch(circ) @ psi
             amps[b] = np.conj(target) @ out
             probs[b] = float(np.real(np.conj(out) @ out))
-        _accumulate_ratio(sums, amps, probs)
-    return _finalize_ratio(sums, samples)
+        return [(amps, probs)]
+
+    return _sweep(samples, chunk_size, chunk)[0]
 
 
 JITTERS = [None, EncoderNoise(1e-4), EncoderNoise(1e-3, correlated=False)]
@@ -314,6 +323,31 @@ def test_end_to_end_golden_row(case):
         assert est.samples == 4096
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+# estimate_fidelity(0.01, 4, 4096, seed=7, kind=kind) as printed before the
+# estimators shared one chunk driver: (P_s, stderr), ratio of means, mean of
+# ratios, bit for bit.  The gaussian kind is pinned through `uasim mc` rows.
+FIDELITY_KIND_GOLDEN = {
+    "uniform": (
+        (0.9777599369068234, 0.00017970889853089923),
+        (0.9924744811882437, 0.00011556769531924471),
+        (0.997495658893, 5.074934632047692e-05),
+    ),
+    "four-moment": (
+        (0.9778467864319503, 0.00015261953494455447),
+        (0.9923467013466009, 0.00011311810367982622),
+        (0.9974931132500169, 4.780256174204544e-05),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIDELITY_KIND_GOLDEN))
+def test_fidelity_noise_kind_golden_row(kind):
+    run = estimate_fidelity(0.01, 4, 4096, seed=7, kind=kind)
+    got = [run.success_prob, run.fidelity.ratio_of_means, run.fidelity.mean_of_ratios]
+    assert all(e.samples == 4096 for e in got)
+    assert [(e.mean, e.stderr) for e in got] == list(FIDELITY_KIND_GOLDEN[kind])
 
 
 # estimate_fusion(0.01, 2, 2000, seed=9, layout=layout, photon_pair=pair) as
