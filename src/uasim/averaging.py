@@ -27,7 +27,6 @@ from .gates import NoiseSpec, sample_deltas
 __all__ = [
     "EncoderNoise",
     "EncodedCircuit",
-    "averaged_operator",
     "heralded_operator",
     "herald_weights",
     "build_tree",
@@ -40,11 +39,6 @@ __all__ = [
 ]
 
 
-def averaged_operator(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Uniform average of the gate copies — the success-branch operator."""
-    return np.mean([np.asarray(m, dtype=complex) for m in matrices], axis=0)
-
-
 def herald_weights(n: int, k: int) -> np.ndarray:
     """Signs (-1)**popcount(k & j) applied to copy j in herald branch k.
 
@@ -54,15 +48,11 @@ def herald_weights(n: int, k: int) -> np.ndarray:
     N = 1 << n
     if not 0 <= k < N:
         raise ValueError(f"branch index {k} out of range for {N} copies")
-    j = np.arange(N)
-    return np.where(_popcount(j & k) % 2 == 0, 1.0, -1.0)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    # np.bitwise_count needs numpy >= 2.0; this covers 1.x too.
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a)
-    return np.array([bin(int(x)).count("1") for x in a.ravel()]).reshape(a.shape)
+    shared = k & np.arange(N)
+    signs = np.ones(N)
+    for bit in range(n):
+        signs[shared >> bit & 1 == 1] *= -1.0
+    return signs
 
 
 def heralded_operator(matrices: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -105,11 +95,6 @@ class EncodedCircuit:
     matrix: np.ndarray
     num_copies: int
     rails: int
-
-    @property
-    def splitter_layers(self) -> int:
-        """Total splitter layers crossed (encoder plus decoder)."""
-        return 2 * (self.num_copies.bit_length() - 1)
 
 
 def _tree_levels(n: int) -> list[list[tuple[int, int]]]:

@@ -234,6 +234,8 @@ def _flag(dest: str) -> str:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -282,8 +284,11 @@ def _emit(
     if svg_path:
         if not svg_series:
             raise UsageError("--svg is not available for an empty table")
-        with open(svg_path, "w") as fh:
-            write_line_chart(fh, svg_series, **(svg_kwargs or {}))
+        try:
+            with open(svg_path, "w") as fh:
+                write_line_chart(fh, svg_series, **(svg_kwargs or {}))
+        except ValueError as exc:  # e.g. a log axis with no positive value
+            raise UsageError(f"--svg: {exc}") from None
 
     dump_path = cfg.params["dump_config"]
     if dump_path:
@@ -498,6 +503,8 @@ def cmd_encode_check(cfg: RunConfig) -> int:
         raise UsageError("encode-check needs at least two distinct --delta-theta values")
     if any(s <= 0 for s in scales):
         raise UsageError("--delta-theta values must be positive")
+    if any(math.pi / 4 + s == math.pi / 4 for s in scales):
+        raise UsageError("--delta-theta values this small cannot move a splitter")
     try:
         gate = single_qubit_matrix(named_gate(p["gate"] or "H", p["alpha"]))
     except ValueError as exc:
@@ -512,16 +519,13 @@ def cmd_encode_check(cfg: RunConfig) -> int:
             pattern_seed=p["seed"],
             correlated=not p["independent"],
         )
-        # log-log fit: an offset too small to move the branch above rounding
-        # leaves a zero deviation, which has no logarithm.
-        if not (devs > 0).all():
-            raise UsageError(
-                f"--delta-theta {scales} leaves a zero deviation at N = {n_copies};"
-                " no slope can be fitted"
-            )
-        slope = float(
-            np.polyfit(np.log(np.asarray(scales)), np.log(devs), 1)[0]
-        )
+        # log-log fit through the positive deviations: where the branch moves
+        # by rounding alone (X, Y, Z at N = 2) a deviation can be exactly 0.
+        # Fewer than two such scales leave the slope empty.
+        moved = devs > 0
+        log_s = np.log(np.asarray(scales)[moved])
+        slope = (float(np.polyfit(log_s, np.log(devs[moved]), 1)[0])
+                 if len(set(log_s)) > 1 else None)
         for s, d in zip(scales, devs):
             rows.append(
                 {

@@ -200,8 +200,8 @@ def effective_loss_rate(gamma: float, epsilon: float, num_copies: float) -> floa
     photon crosses; the epsilon term is the first-order herald probability,
     counted as (located but uncredited) loss.
     """
-    if gamma < 0 or epsilon < 0:
-        raise ValueError("rates must be non-negative")
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= epsilon <= 1.0):
+        raise ValueError("rates must lie in [0, 1]")
     _, big_n = _check(0.0, num_copies)
     if big_n == 1.0:
         return gamma  # averaging a single copy changes nothing

@@ -25,13 +25,10 @@ from .formulas import effective_rates
 __all__ = [
     "CurveFormatError",
     "ThresholdCurve",
-    "RegionQuery",
     "SweepPoint",
-    "is_fault_tolerant",
     "sweep_region",
     "best_n",
     "load_synthetic_curve",
-    "synthetic_curve_path",
 ]
 
 class CurveFormatError(ValueError):
@@ -143,31 +140,6 @@ class ThresholdCurve:
 
 
 @dataclass(frozen=True)
-class RegionQuery:
-    """One physical operating point and a copy count."""
-
-    epsilon: float
-    gamma: float
-    num_copies: int
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.gamma < 0:
-            raise ValueError("rates must be non-negative")
-        n = self.num_copies
-        if n < 1 or n & (n - 1):
-            raise ValueError("num_copies must be a power of two")
-
-
-def is_fault_tolerant(query: RegionQuery, curve: ThresholdCurve) -> bool:
-    """Whether the averaged operating point lands on or under the curve.
-
-    The verdict is the one ``sweep_region`` gives the single point.
-    """
-    point = sweep_region([query.epsilon], [query.gamma], [query.num_copies], curve)[0]
-    return point.fault_tolerant
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     epsilon: float
     gamma: float
@@ -185,15 +157,18 @@ def sweep_region(
 ) -> list[SweepPoint]:
     """Verdict for every (epsilon, gamma, N) combination, N-major order.
 
-    Effective rates are compared conservatively: an effective error outside
-    the curve's data extent counts as not fault-tolerant rather than
-    extrapolating the threshold.
+    A point is fault-tolerant when its averaged rates land on or under the
+    curve.  Effective rates are compared conservatively: an effective error
+    outside the curve's data extent counts as not fault-tolerant rather than
+    extrapolating the threshold.  Copy counts must be powers of two; the
+    rates are checked by ``effective_rates``.
     """
     out = []
     for n in n_list:
+        if n < 1 or n & (n - 1):
+            raise ValueError("num_copies must be a power of two")
         for eps in eps_grid:
             for gam in gamma_grid:
-                RegionQuery(eps, gam, n)  # validates the point
                 err, loss = effective_rates(eps, gam, n)
                 limit = curve.gamma_at(err)
                 ok = limit is not None and loss <= limit
@@ -208,17 +183,11 @@ def best_n(
     curve: ThresholdCurve,
 ) -> int | None:
     """Smallest candidate copy count that reaches fault tolerance, if any."""
-    for n in sorted(candidates):
-        if is_fault_tolerant(RegionQuery(epsilon, gamma, n), curve):
-            return n
-    return None
-
-
-def synthetic_curve_path():
-    """Traversable path of the shipped demonstration curve."""
-    return files("uasim") / "data" / "synthetic_curve.csv"
+    points = sweep_region([epsilon], [gamma], sorted(candidates), curve)
+    return next((p.num_copies for p in points if p.fault_tolerant), None)
 
 
 def load_synthetic_curve() -> ThresholdCurve:
-    with synthetic_curve_path().open() as fh:
+    """The shipped demonstration curve."""
+    with (files("uasim") / "data" / "synthetic_curve.csv").open() as fh:
         return ThresholdCurve.from_csv(fh)

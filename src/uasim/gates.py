@@ -227,8 +227,6 @@ class FourModeParams:
     block_c: GateParams = _NAMED["H"]
     block_d: GateParams = _NAMED["H"]
 
-    PATH_PARAMS = 6
-
     def blocks(self) -> tuple[GateParams, GateParams, GateParams, GateParams]:
         return (self.block_a, self.block_b, self.block_c, self.block_d)
 

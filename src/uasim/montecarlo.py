@@ -46,7 +46,11 @@ from .averaging import (
     pair_state,
     success_branch,
 )
-from .formulas import SINGLE_QUBIT_VARIANTS, success_prob_single
+from .formulas import (
+    SINGLE_QUBIT_VARIANTS,
+    success_prob_first_order,
+    success_prob_single,
+)
 from .gates import (
     GateParams,
     NoiseSpec,
@@ -393,10 +397,6 @@ def estimate_fusion(
 # second-order variant discrimination
 # ---------------------------------------------------------------------------
 
-def _shared_first_order(nu: float, big_n: float) -> float:
-    return 1.0 - 3.0 * nu + 3.0 * nu / big_n
-
-
 def discriminate(points: Sequence[dict]) -> dict:
     """Rank the published second-order success-probability laws on data.
 
@@ -414,7 +414,7 @@ def discriminate(points: Sequence[dict]) -> dict:
         big_n = float(pt["num_copies"])
         if nu <= 0 or pt["stderr"] <= 0:
             raise ValueError("grid points need nu > 0 and stderr > 0")
-        resid = (pt["mean"] - _shared_first_order(nu, big_n)) / nu**2
+        resid = (pt["mean"] - success_prob_first_order(3.0 * nu, big_n)) / nu**2
         sigma = pt["stderr"] / nu**2
         rows.append((nu, big_n, resid, sigma))
 
@@ -428,9 +428,8 @@ def discriminate(points: Sequence[dict]) -> dict:
     for variant in SINGLE_QUBIT_VARIANTS:
         total = 0.0
         for nu, big_n, r, sigma in rows:
-            predicted = (
-                success_prob_single(nu, big_n, variant) - _shared_first_order(nu, big_n)
-            ) / nu**2
+            first = success_prob_first_order(3.0 * nu, big_n)
+            predicted = (success_prob_single(nu, big_n, variant) - first) / nu**2
             total += ((r - predicted) / sigma) ** 2
         chisq[variant] = total
     selected = min(chisq, key=chisq.get)

@@ -109,8 +109,10 @@ def test_analytic_usage_errors(run, argv):
         ("analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "2,-inf"),
         ("analytic", "--formula", "ps-single", "--nu", "1e200", "--big-n", "2"),
         ("mc", "--nu", "1e300", "--big-n", "2", "--samples", "10", "--seed", "1"),
-        # offsets this small leave the success branch unmoved: no slope to fit
+        # offsets this small cannot move a splitter off 50:50
         ("encode-check", "--levels", "1", "--delta-theta", "1e-300,1e-299", "--seed", "1"),
+        # a loss rate is a probability
+        ("ft-region", "--epsilon", "1e-3", "--gamma", "1.5", "--big-n", "1,4"),
         # 2**40 copies: the noise draw is larger than any address space, so
         # the allocation fails at once and nothing is committed
         ("mc", "--nu", "0.01", "--big-n", "1099511627776", "--samples", "10", "--seed", "1"),
@@ -122,7 +124,7 @@ def test_analytic_usage_errors(run, argv):
         "analytic-nu-nan", "encode-levels-nan", "encode-delta-inf", "encode-alpha-nan",
         "analytic-big-n-nan", "analytic-big-n-negative-inf", "analytic-nu-overflow",
         "mc-nu-overflow", "encode-zero-deviation", "mc-big-n-unallocatable",
-        "mc-type2-big-n-unallocatable",
+        "mc-type2-big-n-unallocatable", "ft-region-gamma-above-one",
     ],
 )
 def test_bad_numbers_are_usage_errors(run, argv):
@@ -332,6 +334,37 @@ def test_encode_check_reports_quadratic_slope(run):
     assert lines[0] == "levels,N,delta_theta,deviation,slope"
     slopes = {float(line.split(",")[-1]) for line in lines[1:]}
     assert all(abs(s - 2.0) < 0.05 for s in slopes)
+
+
+def test_encode_check_zero_deviation_leaves_the_slope_empty(run):
+    """For Y at N = 2 the success branch moves only by rounding, so the
+    smaller offset's deviation is exactly 0: that scale has no logarithm,
+    the N = 2 slope is empty, and the command still succeeds."""
+    argv = (
+        "encode-check", "--levels", "1,2",
+        "--delta-theta", "0.001022350757057093,3.6505316737186985e-05",
+        "--seed", "301908346", "--gate", "Y",
+    )
+    code, out, err = run(*argv, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["N"] for r in rows] == ["2", "2", "4", "4"]
+    assert 0.0 in [r["deviation"] for r in rows[:2]]
+    assert [r["slope"] for r in rows[:2]] == [None, None]
+    assert all(abs(r["slope"] - 2.0) < 0.05 for r in rows[2:])
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:3]] == ["", ""]
+
+
+def test_encode_check_unplottable_svg_is_a_usage_error(run, tmp_path):
+    # every deviation is 0, so a log-scaled chart has no point to draw
+    code, _, err = run(
+        "encode-check", "--levels", "1", "--delta-theta", "1e-12,1e-13",
+        "--seed", "3", "--gate", "X", "--svg", str(tmp_path / "chart.svg"),
+    )
+    assert code == 2
+    assert err.startswith("uasim: --svg:")
 
 
 def test_encode_check_validates_levels(run):

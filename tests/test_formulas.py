@@ -114,6 +114,8 @@ def test_domain_validation():
         effective_error_rate(1.5, 2)
     with pytest.raises(ValueError):
         effective_loss_rate(-0.1, 0.0, 2)
+    with pytest.raises(ValueError):
+        effective_loss_rate(1.5, 1e-3, 4)
 
 
 class TestEffectiveRates:

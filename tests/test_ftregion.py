@@ -9,10 +9,8 @@ from uasim.cli import main as cli_main
 from uasim.formulas import effective_rates
 from uasim.ftregion import (
     CurveFormatError,
-    RegionQuery,
     ThresholdCurve,
     best_n,
-    is_fault_tolerant,
     load_synthetic_curve,
     sweep_region,
 )
@@ -113,16 +111,16 @@ def test_densified_leaves_the_interpolant_invariant():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        RegionQuery(-1e-3, 1e-3, 2)
+        sweep_region([-1e-3], [1e-3], [2], FLAT)
     with pytest.raises(ValueError):
-        RegionQuery(1e-3, 1e-3, 3)
+        sweep_region([1e-3], [1e-3], [3], FLAT)
 
 
 def test_single_copy_verdict_is_raw_curve_membership():
     """N = 1 changes nothing, so the verdict is just gamma <= curve(epsilon)."""
     for eps, gam in [(5e-3, 9e-3), (5e-3, 1.1e-2), (2e-4, 1e-2), (2e-2, 1e-3)]:
         inside = FLAT.gamma_at(eps) is not None and gam <= FLAT.gamma_at(eps)
-        assert is_fault_tolerant(RegionQuery(eps, gam, 1), FLAT) == inside
+        assert sweep_region([eps], [gam], [1], FLAT)[0].fault_tolerant == inside
 
 
 def test_averaging_trades_error_for_loss():
@@ -131,18 +129,18 @@ def test_averaging_trades_error_for_loss():
     At (5e-3, 9e-3): N = 1 passes (9e-3 <= 0.01).  N = 2 moves the loss to
     9e-3 * 5/3 + 5e-3/2 = 0.0175 > 0.01, so averaging breaks it.
     """
-    assert is_fault_tolerant(RegionQuery(5e-3, 9e-3, 1), FLAT)
+    assert sweep_region([5e-3], [9e-3], [1], FLAT)[0].fault_tolerant
     err, loss = effective_rates(5e-3, 9e-3, 2)
     assert loss == pytest.approx(0.0175)
-    assert not is_fault_tolerant(RegionQuery(5e-3, 9e-3, 2), FLAT)
+    assert not sweep_region([5e-3], [9e-3], [2], FLAT)[0].fault_tolerant
 
 
 def test_averaging_can_rescue_a_high_error_point():
     # error above the curve extent fails raw, but averaging pulls it back in
     steep = ThresholdCurve("steep", (1e-5, 1e-3), (0.05, 0.04))
-    q_raw = RegionQuery(5e-3, 1e-3, 1)
-    assert not is_fault_tolerant(q_raw, steep)  # epsilon off the right edge
-    assert is_fault_tolerant(RegionQuery(5e-3, 1e-3, 8), steep)
+    # epsilon off the right edge
+    assert not sweep_region([5e-3], [1e-3], [1], steep)[0].fault_tolerant
+    assert sweep_region([5e-3], [1e-3], [8], steep)[0].fault_tolerant
     assert best_n(5e-3, 1e-3, [1, 2, 4, 8, 16], steep) == 8
 
 
@@ -161,9 +159,8 @@ def test_sweep_region_order_and_content():
     for p in pts:
         err, loss = effective_rates(p.epsilon, p.gamma, p.num_copies)
         assert (p.effective_error, p.effective_loss) == (err, loss)
-        assert p.fault_tolerant == is_fault_tolerant(
-            RegionQuery(p.epsilon, p.gamma, p.num_copies), FLAT
-        )
+        (alone,) = sweep_region([p.epsilon], [p.gamma], [p.num_copies], FLAT)
+        assert p.fault_tolerant == alone.fault_tolerant
 
 
 def test_write_sweep_csv_format(capsys):

@@ -195,7 +195,6 @@ def test_four_mode_gate_is_unitary_for_random_blocks():
 
 def test_path_parameter_counts():
     assert GATE_DEPTHS == {"single-qubit": 3, "four-mode": 6, "type2": 2}
-    assert FourModeParams.PATH_PARAMS == 6
 
 
 # ---------------------------------------------------------------------------
