@@ -8,7 +8,9 @@ JSON config written with ``--dump-config`` and read back with ``--config``.
 
 Each subcommand's fields live in one table (``_SUBCOMMANDS``).  argparse only
 collects strings; every value, from a flag or from a config, is parsed once
-by its field's kind, so both sources obey the same rules.
+by its field's kind, so both sources obey the same rules.  A handler returns
+its table; ``_render`` turns it into every output before ``main`` writes any,
+so a usage error leaves no output.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input data,
 4 internal error.
@@ -23,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +52,7 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Bad flags or parameter values; maps to exit code 2."""
+    """Bad flags, parameter values or destinations; maps to exit code 2."""
 
 
 class InputDataError(Exception):
@@ -63,21 +65,12 @@ class InputDataError(Exception):
 _DESTINATIONS = ("out", "svg", "report", "dump_config")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A subcommand and each field's parsed value; None or [] when unset."""
-
-    subcommand: str
-    params: dict
-
-    def to_json(self) -> str:
-        payload = {"subcommand": self.subcommand}
-        payload.update(
-            (k, _plain(v))
-            for k, v in self.params.items()
-            if v is not None and k not in _DESTINATIONS
-        )
-        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+def _dump(subcommand: str, params: dict) -> str:
+    """The run as a JSON config: every set field except the destinations."""
+    payload = {k: _plain(v) for k, v in params.items()
+               if v is not None and k not in _DESTINATIONS}
+    payload["subcommand"] = subcommand
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _read_config(path: str, subcommand: str) -> dict:
@@ -85,7 +78,7 @@ def _read_config(path: str, subcommand: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputDataError(f"malformed config {path}: {exc}") from exc
@@ -97,12 +90,6 @@ def _read_config(path: str, subcommand: str) -> dict:
             f"config is for subcommand {stored!r}, invoked with {subcommand!r}"
         )
     return payload
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not serializable: {value!r}")
 
 
 def _plain(value):
@@ -245,55 +232,65 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit(
-    columns: Sequence[str],
-    rows: Sequence[dict],
-    cfg: RunConfig,
-    *,
-    extras: dict | None = None,
-    comments: Sequence[str] = (),
-    svg_series=None,
-    svg_kwargs: dict | None = None,
-) -> None:
-    if cfg.params["format"] != "json":
+@dataclass(frozen=True)
+class _Table:
+    """What a subcommand computed: its rows, the chart they draw, and what
+    JSON adds beside the rows and CSV appends as comments."""
+
+    columns: Sequence[str]
+    rows: list[dict]
+    series: list  # (label, xs, ys) chart series; empty when nothing can be drawn
+    chart: dict  # write_line_chart options
+    extras: dict = field(default_factory=dict)
+    comments: Sequence[str] = ()
+
+
+def _render(subcommand: str, params: dict, table: _Table) -> list[tuple]:
+    """Every output of a run as (flag, path, text), in write order.
+
+    Nothing is written here, so a usage error leaves no output.  The table's
+    path is None when it goes to stdout; it then comes last, so a failed file
+    write leaves stdout empty.
+    """
+    columns = table.columns
+    if params["format"] != "json":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
+        for row in table.rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
-        for comment in comments:
+        for comment in table.comments:
             buf.write(f"# {comment}\n")
         text = buf.getvalue()
     else:
         payload = {
             "columns": list(columns),
-            "rows": [{c: _plain(r[c]) for c in columns} for r in rows],
+            "rows": [{c: _plain(r[c]) for c in columns} for r in table.rows],
         }
-        if extras:
-            payload.update(extras)
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+        payload.update(table.extras)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    out_path = cfg.params["out"]
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-    svg_path = cfg.params["svg"]
-    if svg_path:
-        if not svg_series:
+    outputs = []
+    if params.get("report"):
+        if "discrimination" not in table.extras:
+            raise UsageError(
+                "--report needs a single-qubit grid with at least three noisy points"
+            )
+        report = json.dumps(table.extras["discrimination"], sort_keys=True, indent=2)
+        outputs.append(("--report", params["report"], report + "\n"))
+    outputs.append(("--out", params["out"] or None, text))
+    if params["svg"]:
+        if not table.series:
             raise UsageError("--svg is not available for an empty table")
+        buf = io.StringIO()
         try:
-            with open(svg_path, "w") as fh:
-                write_line_chart(fh, svg_series, **(svg_kwargs or {}))
+            write_line_chart(buf, table.series, **table.chart)
         except ValueError as exc:  # e.g. a log axis with no positive value
             raise UsageError(f"--svg: {exc}") from None
-
-    dump_path = cfg.params["dump_config"]
-    if dump_path:
-        with open(dump_path, "w") as fh:
-            fh.write(cfg.to_json())
+        outputs.append(("--svg", params["svg"], buf.getvalue()))
+    if params["dump_config"]:
+        outputs.append(("--dump-config", params["dump_config"], _dump(subcommand, params)))
+    return sorted(outputs, key=lambda output: output[1] is None)
 
 
 def _label_n(big_n: float) -> str:
@@ -332,9 +329,8 @@ _FORMULAS = {
 }
 
 
-def cmd_analytic(cfg: RunConfig) -> int:
+def cmd_analytic(p: dict) -> _Table:
     """Closed-form curves over a (nu, N) grid, one row per variant."""
-    p = cfg.params
     formula_id, chosen = p["formula"], p["variant"]
     func, variants = _FORMULAS[formula_id]
     if variants is None:
@@ -359,15 +355,12 @@ def cmd_analytic(cfg: RunConfig) -> int:
         for big_n in p["big_n"]
         for variant in use_variants
     ]
-    series = _series_by(rows, key="N", x="nu", y="value") if rows else None
-    _emit(
+    return _Table(
         ("nu", "N", "value", "variant"),
         rows,
-        cfg,
-        svg_series=series,
-        svg_kwargs={"title": formula_id, "x_label": "nu", "y_label": "value"},
+        _series_by(rows, key="N", x="nu", y="value"),
+        {"title": formula_id, "x_label": "nu", "y_label": "value"},
     )
-    return 0
 
 
 def _series_by(rows, *, key, x, y):
@@ -395,9 +388,8 @@ def _unallocatable(big_n: int) -> UsageError:
     )
 
 
-def cmd_mc(cfg: RunConfig) -> int:
+def cmd_mc(p: dict) -> _Table:
     """Monte Carlo success probabilities beside every analytic variant."""
-    p = cfg.params
     family = p["family"] or "single-qubit"
     seed, samples, nus, copies = p["seed"], p["samples"], p["nu"], p["big_n"]
 
@@ -468,36 +460,22 @@ def cmd_mc(cfg: RunConfig) -> int:
                 row["analytic"] = _law(formulas.success_prob_four_mode, nu, big_n)
             rows.append(row)
 
-    report_path = p["report"]
-    if report_path:
-        if "discrimination" not in extras:
-            raise UsageError(
-                "--report needs a single-qubit grid with at least three noisy points"
-            )
-        with open(report_path, "w") as fh:
-            json.dump(extras["discrimination"], fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    series = _series_by(rows, key="N", x="nu", y="mc_mean") if rows else None
-    _emit(
+    return _Table(
         ("nu", "N", "samples", "mc_mean", "mc_stderr") + _MC_COLUMNS[family],
         rows,
-        cfg,
-        extras=extras,
-        comments=comments,
-        svg_series=series,
-        svg_kwargs={
+        _series_by(rows, key="N", x="nu", y="mc_mean"),
+        {
             "title": f"mc {family}",
             "x_label": "nu",
             "y_label": "success probability",
         },
+        extras=extras,
+        comments=comments,
     )
-    return 0
 
 
-def cmd_encode_check(cfg: RunConfig) -> int:
+def cmd_encode_check(p: dict) -> _Table:
     """Success-branch deviation vs splitter offset, with fitted slopes."""
-    p = cfg.params
     scales = p["delta_theta"]
     if len(set(scales)) < 2:
         raise UsageError("encode-check needs at least two distinct --delta-theta values")
@@ -536,13 +514,11 @@ def cmd_encode_check(cfg: RunConfig) -> int:
                     "slope": slope,
                 }
             )
-    series = _series_by(rows, key="N", x="delta_theta", y="deviation")
-    _emit(
+    return _Table(
         ("levels", "N", "delta_theta", "deviation", "slope"),
         rows,
-        cfg,
-        svg_series=series,
-        svg_kwargs={
+        _series_by(rows, key="N", x="delta_theta", y="deviation"),
+        {
             "title": "encoder error scaling",
             "x_label": "delta theta",
             "y_label": "deviation",
@@ -550,38 +526,33 @@ def cmd_encode_check(cfg: RunConfig) -> int:
             "log_y": True,
         },
     )
-    return 0
 
 
-def cmd_parity(cfg: RunConfig) -> int:
+def cmd_parity(params: dict) -> _Table:
     """Logical recovery probability over a herald-rate grid."""
-    code = ParityCode(cfg.params["n"], cfg.params["q"])
+    code = ParityCode(params["n"], params["q"])
     rows = []
-    for p in cfg.params["p"]:
+    for p in params["p"]:
         try:
             value = logical_success_prob(code, p)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         rows.append({"n": code.n, "q": code.q, "p": p, "success_prob": float(value)})
-    series = [(f"n={code.n}, q={code.q}", [r["p"] for r in rows],
-               [r["success_prob"] for r in rows])]
-    _emit(
+    return _Table(
         ("n", "q", "p", "success_prob"),
         rows,
-        cfg,
-        svg_series=series,
-        svg_kwargs={
+        [(f"n={code.n}, q={code.q}", [r["p"] for r in rows],
+          [r["success_prob"] for r in rows])],
+        {
             "title": "parity-code recovery",
             "x_label": "herald probability",
             "y_label": "logical success",
         },
     )
-    return 0
 
 
-def cmd_ft_region(cfg: RunConfig) -> int:
+def cmd_ft_region(p: dict) -> _Table:
     """Fault-tolerance verdicts over an (epsilon, gamma, N) grid."""
-    p = cfg.params
     try:
         curve = ThresholdCurve.from_csv(p["curve"]) if p["curve"] else load_synthetic_curve()
     except CurveFormatError as exc:
@@ -601,25 +572,20 @@ def cmd_ft_region(cfg: RunConfig) -> int:
         }
         for pt in points
     ]
-    series = [
-        (f"curve {curve.code_name}", list(curve.epsilons), list(curve.gammas))
-    ]
-    _emit(
+    return _Table(
         ("epsilon", "gamma", "N", "effective_error", "effective_loss", "fault_tolerant"),
         rows,
-        cfg,
-        extras={"curve": curve.code_name},
-        comments=[f"curve: {curve.code_name}"],
-        svg_series=series,
-        svg_kwargs={
+        [(f"curve {curve.code_name}", list(curve.epsilons), list(curve.gammas))],
+        {
             "title": "threshold curve",
             "x_label": "epsilon",
             "y_label": "gamma",
             "log_x": True,
             "log_y": True,
         },
+        extras={"curve": curve.code_name},
+        comments=[f"curve: {curve.code_name}"],
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +662,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> dict:
     """Config values overridden by flags, each parsed once by its field's kind."""
     sub = args.subcommand
     _, _, required, fields = _SUBCOMMANDS[sub]
@@ -713,7 +679,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     for dest in required:
         if params[dest] in (None, []):
             raise UsageError(f"{sub} needs {_flag(dest)}")
-    return RunConfig(sub, params)
+    return params
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -723,8 +689,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _merge_config(args)
-        return _SUBCOMMANDS[cfg.subcommand][0](cfg)
+        sub = args.subcommand
+        params = _merge_config(args)
+        outputs = _render(sub, params, _SUBCOMMANDS[sub][0](params))
+        for flag, path, text in outputs:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"{flag} {path}: {exc.strerror or exc}") from None
+        return 0
     except UsageError as exc:
         print(f"uasim: {exc}", file=sys.stderr)
         return 2

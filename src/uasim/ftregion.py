@@ -63,11 +63,10 @@ class ThresholdCurve:
         if hasattr(source, "read"):
             return cls._parse(source, "<stream>")
         try:
-            fh = open(source, newline="")
-        except OSError as exc:
+            with open(source, newline="") as fh:
+                return cls._parse(fh, str(source))
+        except (OSError, UnicodeDecodeError) as exc:
             raise CurveFormatError(f"cannot read curve file {source}: {exc}") from exc
-        with fh:
-            return cls._parse(fh, str(source))
 
     @classmethod
     def _parse(cls, fh: IO[str], label: str) -> "ThresholdCurve":

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -249,12 +250,17 @@ def test_mc_discrimination_comment_and_report(run, tmp_path):
 
 
 def test_mc_report_needs_enough_points(run, tmp_path):
-    code, _, err = run(
-        "mc", "--nu", "0.01", "--big-n", "2", "--samples", "2000",
-        "--seed", "3", "--report", str(tmp_path / "r.json"),
-    )
+    argv = ("mc", "--nu", "0.01", "--big-n", "2", "--samples", "2000",
+            "--seed", "3", "--report", str(tmp_path / "r.json"))
+    code, out, err = run(*argv)
     assert code == 2
     assert "three" in err
+    assert out == ""
+    # a usage error writes no file either
+    table = tmp_path / "t.csv"
+    code, out, _ = run(*argv, "--out", str(table))
+    assert (code, out) == (2, "")
+    assert not table.exists()
 
 
 def test_mc_fusion_families(run):
@@ -359,12 +365,18 @@ def test_encode_check_zero_deviation_leaves_the_slope_empty(run):
 
 def test_encode_check_unplottable_svg_is_a_usage_error(run, tmp_path):
     # every deviation is 0, so a log-scaled chart has no point to draw
-    code, _, err = run(
-        "encode-check", "--levels", "1", "--delta-theta", "1e-12,1e-13",
-        "--seed", "3", "--gate", "X", "--svg", str(tmp_path / "chart.svg"),
-    )
+    argv = ("encode-check", "--levels", "1", "--delta-theta", "1e-12,1e-13",
+            "--seed", "3", "--gate", "X", "--svg", str(tmp_path / "chart.svg"))
+    code, out, err = run(*argv)
     assert code == 2
     assert err.startswith("uasim: --svg:")
+    assert out == ""
+    # the table and the dump are rendered but not written
+    table, dump = tmp_path / "t.csv", tmp_path / "c.json"
+    code, out, err = run(*argv, "--out", str(table), "--dump-config", str(dump))
+    assert (code, out) == (2, "")
+    assert err.startswith("uasim: --svg:")
+    assert not table.exists() and not dump.exists()
 
 
 def test_encode_check_validates_levels(run):
@@ -536,6 +548,19 @@ def test_config_for_wrong_subcommand(run, tmp_path):
     assert "subcommand" in err
 
 
+def test_undecodable_input_files_are_input_errors(run, tmp_path):
+    binary = tmp_path / "bin.dat"
+    binary.write_bytes(random.Random(0).randbytes(300))
+    for argv in (
+        ("parity", "--config", str(binary)),
+        ("ft-region", "--epsilon", "1e-3", "--gamma", "0", "--big-n", "1",
+         "--curve", str(binary)),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("uasim: ")
+
+
 def test_malformed_config_is_an_input_error(run, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -567,13 +592,16 @@ def test_out_file_and_svg(run, tmp_path):
     assert svg.read_bytes() == svg2.read_bytes()
 
 
-def test_unwritable_out_is_an_internal_error(run, tmp_path):
-    code, _, err = run(
-        "analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "2",
-        "--out", str(tmp_path / "no" / "such" / "dir.csv"),
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--dump-config", "--report"])
+def test_unwritable_destination_is_a_usage_error(run, tmp_path, flag):
+    # three noisy points, so --report has a discrimination to write
+    code, out, err = run(
+        "mc", "--nu", "0.005,0.01,0.02", "--big-n", "2", "--samples", "500",
+        "--seed", "3", flag, str(tmp_path / "no" / "such" / "dir.out"),
     )
-    assert code == 4
-    assert "internal error" in err
+    assert code == 2
+    assert err.startswith(f"uasim: {flag} ")
+    assert out == ""
 
 
 def test_console_entry_point_runs():
