@@ -11,6 +11,21 @@ row of moment sums, and ``_finalize`` reduces every column with ``math.fsum``
 (exactly rounded), which makes the final estimate invariant under
 permutations of the chunk order.
 
+``estimate_fidelity`` and ``estimate_fusion`` cut each chunk along the sample
+axis into blocks of ``_SAMPLES_PER_BLOCK`` samples (``_sweep_blocks``).  The
+calling thread draws every block's offsets from the chunk's one generator, in
+block order; a thread pool sized to the usable cores runs the gate kernel on
+each block, and the per-sample arrays are joined back into whole-chunk arrays
+before ``_moments`` sums them.  Neither the block size nor the thread count
+moves a bit: one generator drawn n1 then n2 values gives the same stream as
+one draw of n1 + n2, every kernel step acts on each sample alone, and the
+steps whose rounding depends on the array length see whole-chunk arrays: the
+moment sums (pairwise summation) and fusion's per-photon overlap (a one-row
+matrix-vector product goes to BLAS dot, a longer one to gemv).
+``estimate_end_to_end`` keeps whole-chunk draws: its splitter stream draws a
+chunk's encoder offsets before its decoder offsets, which per-block draws
+would interleave.
+
 Estimators
 ----------
 ``estimate_fidelity``    success probability and conditional fidelity of the
@@ -32,6 +47,9 @@ ensemble-level quantity the closed forms describe) and ``mean_of_ratios``
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence
@@ -80,6 +98,11 @@ DEFAULT_CHUNK = 65536
 # N = 8 a slice of 32 is 0.125 MiB of complex matrices.  Larger slices buy no
 # steady speed and grow peak memory: 64 held about 0.5 MiB more at peak.
 _TREES_PER_SLICE = 32
+
+# Samples per block of ``_sweep_blocks``.  At N = 16 a block's offsets are
+# 2.5 MiB and each complex temporary of the gate kernel 1 MiB, so a few blocks
+# in flight per core stay in cache where a whole 65536-sample chunk does not.
+_SAMPLES_PER_BLOCK = 4096
 
 # Stream tags keep independent random quantities on disjoint substreams.
 _STREAM_GATES = 0
@@ -198,6 +221,50 @@ def _sweep(samples: int, chunk_size: int, chunk: Callable) -> list[GateRunResult
     return [_finalize(series, samples) for series in zip(*rows)]
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_blocks(
+    samples: int,
+    chunk_size: int,
+    seed: int,
+    noise: NoiseSpec,
+    shape: tuple[int, ...],
+    kernel: Callable,
+    series: Callable,
+) -> list[GateRunResult]:
+    """``_sweep`` over chunks cut into blocks of ``_SAMPLES_PER_BLOCK`` samples.
+
+    The calling thread draws each block's offsets, of shape (n, *shape), from
+    the chunk's generator in block order.  ``kernel(deltas)`` returns a tuple
+    of per-sample arrays and runs on the pool, with at most two blocks per
+    worker in flight.  The arrays are joined over the blocks, and
+    ``series(*arrays)`` turns the whole-chunk arrays into one (amplitude,
+    probability) pair per series on the calling thread.  The pool ends with
+    the call, and a kernel's exception is raised here.
+    """
+    workers = _usable_cores()
+    with ThreadPoolExecutor(workers) as pool:
+
+        def chunk(idx: int, count: int):
+            rng = _chunk_rng(seed, _STREAM_GATES, idx)
+            done, pending = [], deque()
+            for lo in range(0, count, _SAMPLES_PER_BLOCK):
+                n = min(_SAMPLES_PER_BLOCK, count - lo)
+                deltas = sample_deltas(noise, (n, *shape), rng)
+                if len(pending) == 2 * workers:
+                    done.append(pending.popleft().result())
+                pending.append(pool.submit(kernel, deltas))
+            done.extend(f.result() for f in pending)
+            return series(*map(np.concatenate, zip(*done)))
+
+        return _sweep(samples, chunk_size, chunk)
+
+
 # ---------------------------------------------------------------------------
 # batched gate output
 # ---------------------------------------------------------------------------
@@ -264,16 +331,16 @@ def estimate_fidelity(
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
 
-    def chunk(idx: int, count: int):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
-        deltas = sample_deltas(noise, (count, num_copies, 5), rng)
+    def kernel(deltas: np.ndarray):
         out0, out1 = _batched_single_qubit_out(base, deltas, psi)
         m0 = out0.mean(axis=1)
         m1 = out1.mean(axis=1)
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
-        return [(a, np.abs(m0) ** 2 + np.abs(m1) ** 2)]
+        return a, np.abs(m0) ** 2 + np.abs(m1) ** 2
 
-    return _sweep(samples, chunk_size, chunk)[0]
+    return _sweep_blocks(
+        samples, chunk_size, seed, noise, (num_copies, 5), kernel, lambda a, p: [(a, p)]
+    )[0]
 
 
 def estimate_end_to_end(
@@ -371,26 +438,30 @@ def estimate_fusion(
     s_in = pair_state(photon_pair[0], photon_pair[1], 4)
     s_target = evolve_pair(ideal, s_in)
 
-    def chunk(idx: int, count: int):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
-        if layout == "type2":
-            deltas = sample_deltas(noise, (count, num_copies, 4), rng)
-            mats = fusion_type2_matrix(deltas=deltas)
-        else:
-            deltas = sample_deltas(noise, (count, num_copies, 4, 5), rng)
-            mats = four_mode_matrix(deltas=deltas)
-        avg = mats.mean(axis=1)
+    if layout == "type2":
+        shape, build = (num_copies, 4), fusion_type2_matrix
+    else:
+        shape, build = (num_copies, 4, 5), four_mode_matrix
+
+    def kernel(deltas: np.ndarray):
+        avg = build(deltas=deltas).mean(axis=1)
         out1 = avg @ psi
         s_out = evolve_pair(avg, s_in)
-        return [
-            (out1 @ np.conj(target1), np.sum(np.abs(out1) ** 2, axis=1)),
-            (
-                2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2)),
-                2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2)),
-            ),
-        ]
+        return (
+            out1,
+            np.sum(np.abs(out1) ** 2, axis=1),
+            2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2)),
+            2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2)),
+        )
 
-    return FusionRunResult(*_sweep(samples, chunk_size, chunk))
+    def series(out1, p1, a2, p2):
+        # On the whole chunk, not per block: numpy hands a one-row
+        # matrix-vector product to BLAS dot, which rounds unlike gemv.
+        return [(out1 @ np.conj(target1), p1), (a2, p2)]
+
+    return FusionRunResult(
+        *_sweep_blocks(samples, chunk_size, seed, noise, shape, kernel, series)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,32 @@ Bands are 5 standard errors around those values with seeds frozen, so the
 tests are deterministic.
 """
 
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from uasim import montecarlo
-from uasim.averaging import EncoderNoise, build_tree, num_splitter_deltas, success_branch
-from uasim.gates import named_gate, sample_deltas, single_qubit_matrix
+from uasim.averaging import (
+    EncoderNoise,
+    build_tree,
+    evolve_pair,
+    num_splitter_deltas,
+    pair_state,
+    success_branch,
+)
+from uasim.gates import (
+    four_mode_matrix,
+    fusion_type2_matrix,
+    named_gate,
+    sample_deltas,
+    single_qubit_matrix,
+)
 from uasim.montecarlo import (
+    DEFAULT_CHUNK,
+    FusionRunResult,
     _STREAM_GATES,
     _STREAM_SPLITTERS,
     _chunk_rng,
@@ -296,6 +313,171 @@ def test_end_to_end_does_not_depend_on_the_slice_size(monkeypatch, trees_per_sli
     default = [estimate_end_to_end(0.01, n, 250, **kw) for n in (2, 4)]
     monkeypatch.setattr(montecarlo, "_TREES_PER_SLICE", trees_per_slice)
     assert [estimate_end_to_end(0.01, n, 250, **kw) for n in (2, 4)] == default
+
+
+# ---------------------------------------------------------------------------
+# blocked chunks: the bits of one whole-chunk block, on any schedule
+# ---------------------------------------------------------------------------
+
+
+def fidelity_one_block(
+    nu, num_copies, samples, *, seed, gate=None, input_state=(1.0, 0.0),
+    kind="gaussian", chunk_size=DEFAULT_CHUNK,
+):
+    """``estimate_fidelity`` with each chunk drawn and computed as one block."""
+    base = gate if gate is not None else named_gate("I")
+    noise = montecarlo._noise_spec(nu, kind, None)
+    psi = montecarlo._unit_vector(input_state, 2)
+    target = single_qubit_matrix(base) @ psi
+
+    def chunk(idx, count):
+        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        deltas = sample_deltas(noise, (count, num_copies, 5), rng)
+        out0, out1 = montecarlo._batched_single_qubit_out(base, deltas, psi)
+        m0 = out0.mean(axis=1)
+        m1 = out1.mean(axis=1)
+        a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
+        return [(a, np.abs(m0) ** 2 + np.abs(m1) ** 2)]
+
+    return _sweep(samples, chunk_size, chunk)[0]
+
+
+def fusion_one_block(
+    nu, num_copies, samples, *, seed, layout="type2", kind=None,
+    single_photon_mode=0, photon_pair=(0, 2), chunk_size=16384,
+):
+    """``estimate_fusion`` with each chunk drawn and computed as one block."""
+    if kind is None:
+        kind = "four-moment" if layout == "type2" else "gaussian"
+    noise = montecarlo._noise_spec(nu, kind, None)
+    ideal = fusion_type2_matrix()
+    psi = np.zeros(4, dtype=complex)
+    psi[single_photon_mode] = 1.0
+    target1 = ideal @ psi
+    s_in = pair_state(photon_pair[0], photon_pair[1], 4)
+    s_target = evolve_pair(ideal, s_in)
+
+    def chunk(idx, count):
+        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        if layout == "type2":
+            deltas = sample_deltas(noise, (count, num_copies, 4), rng)
+            mats = fusion_type2_matrix(deltas=deltas)
+        else:
+            deltas = sample_deltas(noise, (count, num_copies, 4, 5), rng)
+            mats = four_mode_matrix(deltas=deltas)
+        avg = mats.mean(axis=1)
+        out1 = avg @ psi
+        s_out = evolve_pair(avg, s_in)
+        return [
+            (out1 @ np.conj(target1), np.sum(np.abs(out1) ** 2, axis=1)),
+            (
+                2.0 * np.sum(np.conj(s_target) * s_out, axis=(1, 2)),
+                2.0 * np.sum(np.abs(s_out) ** 2, axis=(1, 2)),
+            ),
+        ]
+
+    return FusionRunResult(*_sweep(samples, chunk_size, chunk))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "four-moment"])
+@pytest.mark.parametrize("num_copies", [1, 3, 16])
+def test_fidelity_equals_one_block_bit_for_bit(kind, num_copies):
+    # chunks of 4097 and a last one of 3613: every chunk ends in a partial
+    # block, and so does the run
+    kw = dict(seed=41 + num_copies, kind=kind, chunk_size=4097)
+    assert estimate_fidelity(0.01, num_copies, 20_001, **kw) == fidelity_one_block(
+        0.01, num_copies, 20_001, **kw
+    )
+
+
+@pytest.mark.parametrize("chunk_size", [4096, 10_000, 65_536])
+@pytest.mark.parametrize(
+    "gate, input_state",
+    [(named_gate("H"), (0.6, 0.8j)), (named_gate("Z", 0.3), (1.0, 1.0))],
+    ids=["H", "Z"],
+)
+def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(gate, input_state, chunk_size):
+    kw = dict(seed=47, gate=gate, input_state=input_state, chunk_size=chunk_size)
+    assert estimate_fidelity(0.02, 4, 20_001, **kw) == fidelity_one_block(
+        0.02, 4, 20_001, **kw
+    )
+
+
+@pytest.mark.parametrize("layout", ["type2", "four-mode"])
+@pytest.mark.parametrize("num_copies", [1, 3])
+@pytest.mark.parametrize(
+    "pair, mode", [((0, 2), 0), ((1, 1), 2)], ids=["pair02-mode0", "pair11-mode2"]
+)
+def test_fusion_equals_one_block_bit_for_bit(layout, num_copies, pair, mode):
+    kw = dict(
+        seed=53 + num_copies, layout=layout, photon_pair=pair,
+        single_photon_mode=mode, chunk_size=4097,
+    )
+    assert estimate_fusion(0.01, num_copies, 9_001, **kw) == fusion_one_block(
+        0.01, num_copies, 9_001, **kw
+    )
+
+
+def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
+    for kind in ("gaussian", "uniform", "four-moment"):
+        kw = dict(seed=59, kind=kind, chunk_size=5000)
+        assert estimate_fusion(0.01, 2, 9_001, **kw) == fusion_one_block(
+            0.01, 2, 9_001, **kw
+        )
+
+
+@pytest.mark.parametrize("workers, block", [(1, 1), (1, 7), (3, 1), (3, 7)])
+def test_blocked_estimates_do_not_depend_on_the_schedule(monkeypatch, workers, block):
+    # at the default block size each 4500-sample chunk is a full block and a
+    # partial one
+    def runs():
+        kw = dict(seed=5, chunk_size=4500)
+        return [
+            estimate_fidelity(0.01, 3, 5000, **kw),
+            estimate_fidelity(0.01, 16, 5000, kind="uniform", **kw),
+            estimate_fusion(0.01, 2, 5000, **kw),
+            estimate_fusion(0.01, 2, 5000, layout="four-mode", photon_pair=(1, 1), **kw),
+        ]
+
+    default = runs()
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(montecarlo, "_SAMPLES_PER_BLOCK", block)
+    assert runs() == default
+
+
+@pytest.mark.parametrize(
+    "nu, kind",
+    [(0.01, "gaussian"), (0.01, "uniform"), (0.01, "four-moment"),
+     (0.0, "gaussian"), (0.0, "uniform"), (0.0, "four-moment")],
+)
+def test_consecutive_draws_continue_one_stream(nu, kind):
+    """Blocks drawn one after another from one generator are the whole draw."""
+    noise = montecarlo._noise_spec(nu, kind, None)
+    one = np.random.default_rng(8)
+    whole = sample_deltas(noise, (4103, 3, 5), one)
+    for split in ((1, 4102), (4096, 7), (2000, 2103)):
+        rng = np.random.default_rng(8)
+        parts = [sample_deltas(noise, (n, 3, 5), rng) for n in split]
+        assert np.array_equal(np.concatenate(parts), whole)
+        # the generator is left where the whole draw leaves it
+        assert rng.bit_generator.state == one.bit_generator.state
+
+
+def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+    calls = itertools.count()
+    kernel = montecarlo._batched_single_qubit_out
+
+    def fails_on_the_second_block(*args):
+        if next(calls) == 1:
+            raise MemoryError("second block")
+        return kernel(*args)
+
+    monkeypatch.setattr(montecarlo, "_batched_single_qubit_out", fails_on_the_second_block)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="second block"):
+        estimate_fidelity(0.01, 2, 20_000, seed=1)
+    assert threading.active_count() == before
 
 
 # estimate_end_to_end(0.01, 4, 4096, seed=7) as printed by the per-sample
