@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "GateParams",
@@ -70,6 +69,21 @@ def named_gate(name: str, alpha: float | None = None) -> GateParams:
         raise ValueError(f"unknown gate {name!r}; choose from I, X, Y, Z, H") from None
 
 
+def _expi(x: np.ndarray) -> np.ndarray:
+    """e^{ix} for real x, bit for bit ``np.exp(1j * x)``.
+
+    ``1j * x`` is (+-0) + i(0 + x) and exp(+-0 + iy) = cos y + i sin y, so
+    writing the two real results into one complex buffer gives the same bytes
+    without the complex product and the complex exp.  The ``+ 0.0`` is the
+    product's: it turns x = -0.0 into +0.0, whose sine is +0.0.
+    """
+    x = x + 0.0
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def single_qubit_matrix(p: GateParams, deltas: np.ndarray | None = None) -> np.ndarray:
     """2x2 dual-rail matrix of the five-parameter gate (unitary for all real angles).
 
@@ -86,10 +100,10 @@ def single_qubit_matrix(p: GateParams, deltas: np.ndarray | None = None) -> np.n
     d = deltas if lead else deltas[None]
     th = p.theta + d[..., 0]
     s, c = np.sin(th), np.cos(th)
-    e1 = np.exp(1j * (p.phi1 + d[..., 1]))
-    e2 = np.exp(1j * (p.phi2 + d[..., 2]))
-    f1 = np.exp(1j * (p.chi1 + d[..., 3]))
-    f2 = np.exp(1j * (p.chi2 + d[..., 4]))
+    e1 = _expi(p.phi1 + d[..., 1])
+    e2 = _expi(p.phi2 + d[..., 2])
+    f1 = _expi(p.chi1 + d[..., 3])
+    f2 = _expi(p.chi2 + d[..., 4])
     m = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
     m[..., 0, 0] = e1 * f1 * s
     m[..., 0, 1] = e2 * f1 * c
@@ -136,19 +150,28 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
 
     Every delta consumes exactly one uniform variate (inverse-CDF sampling),
     which keeps stream layouts deterministic regardless of the distribution.
+    The continuous kinds map the uniform buffer in place; scipy is imported on
+    the first gaussian draw, so a run that draws none never loads it.
     """
     u = rng.random(shape)
     nu = noise.variance
     if nu == 0.0:
         return np.zeros(shape)
     if noise.kind == "gaussian":
+        from scipy.special import ndtri
+
         # ndtri maps (0,1) -> standard normal; rng.random() can return 0.0
         # (ndtri -> -inf), so nudge into the open interval.
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        return ndtri(u) * math.sqrt(nu)
+        np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+        ndtri(u, out=u)
+        u *= math.sqrt(nu)
+        return u
     if noise.kind == "uniform":
         half = math.sqrt(3.0 * nu)
-        return (2.0 * u - 1.0) * half
+        u *= 2.0
+        u -= 1.0
+        u *= half
+        return u
     # three-point: +/- a with probability p each, 0 otherwise
     a = math.sqrt(noise.fourth_moment / nu)
     p = nu**2 / (2.0 * noise.fourth_moment)
@@ -244,11 +267,12 @@ def four_mode_matrix(
     lead = deltas.shape[:-2]
     d = deltas if lead else deltas[None]  # one batch axis, as in single_qubit_matrix
     blocks = [single_qubit_matrix(b, d[..., i, :]) for i, b in enumerate(p.blocks())]
+    # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1), so
+    # A's rows land on rows 0 and 3 and B's on rows 2 and 1
     pre = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
-    pre[..., 0:2, 0:2] = blocks[0]
-    pre[..., 2:4, 2:4] = blocks[1]
+    pre[..., (0, 3), 0:2] = blocks[0]
+    pre[..., (2, 1), 2:4] = blocks[1]
     post = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
     post[..., 0:2, 0:2] = blocks[2]
     post[..., 2:4, 2:4] = blocks[3]
-    # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1)
-    return (post @ pre[..., (0, 3, 2, 1), :]).reshape(lead + (4, 4))
+    return (post @ pre).reshape(lead + (4, 4))

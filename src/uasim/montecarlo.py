@@ -12,16 +12,17 @@ row of moment sums, and ``_finalize`` reduces every column with ``math.fsum``
 permutations of the chunk order.
 
 ``estimate_fidelity`` and ``estimate_fusion`` cut each chunk along the sample
-axis into blocks of ``_SAMPLES_PER_BLOCK`` samples (``_sweep_blocks``).  The
-calling thread draws every block's offsets from the chunk's one generator, in
-block order; a thread pool sized to the usable cores runs the gate kernel on
-each block, and the per-sample arrays are joined back into whole-chunk arrays
-before ``_moments`` sums them.  Neither the block size nor the thread count
-moves a bit: one generator drawn n1 then n2 values gives the same stream as
-one draw of n1 + n2, every kernel step acts on each sample alone, and the
-steps whose rounding depends on the array length see whole-chunk arrays: the
-moment sums (pairwise summation) and fusion's per-photon overlap (a one-row
-matrix-vector product goes to BLAS dot, a longer one to gemv).
+axis into blocks of ``_SAMPLES_PER_BLOCK`` and ``_FUSION_SAMPLES_PER_BLOCK``
+samples (``_sweep_blocks``).  The calling thread draws every block's offsets
+from the chunk's one generator, in block order; a thread pool sized to the
+usable cores runs the gate kernel on each block, and the per-sample arrays
+are joined back into whole-chunk arrays before ``_moments`` sums them.
+Neither the block size nor the thread count moves a bit: one generator drawn
+n1 then n2 values gives the same stream as one draw of n1 + n2, every kernel
+step acts on each sample alone, and the steps whose rounding depends on the
+array length see whole-chunk arrays: the moment sums (pairwise summation) and
+fusion's per-photon overlap (a one-row matrix-vector product goes to BLAS dot,
+a longer one to gemv).
 ``estimate_end_to_end`` keeps whole-chunk draws: its splitter stream draws a
 chunk's encoder offsets before its decoder offsets, which per-block draws
 would interleave.
@@ -72,6 +73,7 @@ from .formulas import (
 from .gates import (
     GateParams,
     NoiseSpec,
+    _expi,
     four_mode_matrix,
     fusion_type2_matrix,
     named_gate,
@@ -103,6 +105,10 @@ _TREES_PER_SLICE = 32
 # 2.5 MiB and each complex temporary of the gate kernel 1 MiB, so a few blocks
 # in flight per core stay in cache where a whole 65536-sample chunk does not.
 _SAMPLES_PER_BLOCK = 4096
+
+# ``estimate_fusion`` blocks hold a stack of 4x4 complex matrices per copy:
+# 2 MiB per temporary at N = 8 for 1024 samples, 8 MiB for 4096.
+_FUSION_SAMPLES_PER_BLOCK = 1024
 
 # Stream tags keep independent random quantities on disjoint substreams.
 _STREAM_GATES = 0
@@ -236,8 +242,9 @@ def _sweep_blocks(
     shape: tuple[int, ...],
     kernel: Callable,
     series: Callable,
+    block: int,
 ) -> list[GateRunResult]:
-    """``_sweep`` over chunks cut into blocks of ``_SAMPLES_PER_BLOCK`` samples.
+    """``_sweep`` over chunks cut into blocks of ``block`` samples.
 
     The calling thread draws each block's offsets, of shape (n, *shape), from
     the chunk's generator in block order.  ``kernel(deltas)`` returns a tuple
@@ -253,8 +260,8 @@ def _sweep_blocks(
         def chunk(idx: int, count: int):
             rng = _chunk_rng(seed, _STREAM_GATES, idx)
             done, pending = [], deque()
-            for lo in range(0, count, _SAMPLES_PER_BLOCK):
-                n = min(_SAMPLES_PER_BLOCK, count - lo)
+            for lo in range(0, count, block):
+                n = min(block, count - lo)
                 deltas = sample_deltas(noise, (n, *shape), rng)
                 if len(pending) == 2 * workers:
                     done.append(pending.popleft().result())
@@ -279,10 +286,10 @@ def _batched_single_qubit_out(
     """
     th = base.theta + deltas[..., 0]
     s, c = np.sin(th), np.cos(th)
-    u = np.exp(1j * (base.phi1 + deltas[..., 1])) * psi[0]
-    v = np.exp(1j * (base.phi2 + deltas[..., 2])) * psi[1]
-    out0 = np.exp(1j * (base.chi1 + deltas[..., 3])) * (s * u + c * v)
-    out1 = np.exp(1j * (base.chi2 + deltas[..., 4])) * (c * u - s * v)
+    u = _expi(base.phi1 + deltas[..., 1]) * psi[0]
+    v = _expi(base.phi2 + deltas[..., 2]) * psi[1]
+    out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u + c * v)
+    out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u - s * v)
     return out0, out1
 
 
@@ -339,7 +346,8 @@ def estimate_fidelity(
         return a, np.abs(m0) ** 2 + np.abs(m1) ** 2
 
     return _sweep_blocks(
-        samples, chunk_size, seed, noise, (num_copies, 5), kernel, lambda a, p: [(a, p)]
+        samples, chunk_size, seed, noise, (num_copies, 5), kernel,
+        lambda a, p: [(a, p)], _SAMPLES_PER_BLOCK,
     )[0]
 
 
@@ -460,7 +468,10 @@ def estimate_fusion(
         return [(out1 @ np.conj(target1), p1), (a2, p2)]
 
     return FusionRunResult(
-        *_sweep_blocks(samples, chunk_size, seed, noise, shape, kernel, series)
+        *_sweep_blocks(
+            samples, chunk_size, seed, noise, shape, kernel, series,
+            _FUSION_SAMPLES_PER_BLOCK,
+        )
     )
 
 

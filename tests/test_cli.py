@@ -8,14 +8,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uasim
 from uasim.cli import main
 from uasim.formulas import effective_rates
 from uasim.ftregion import load_synthetic_curve
@@ -637,6 +640,57 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,q,p,success_prob\n")
+
+
+# A fresh interpreter: the calls that draw no gaussian offsets never load
+# scipy; the first gaussian draw does, and its numbers are the golden row's.
+COLD_CHILD = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import uasim.cli
+loaded = {"import": scipy_modules()}
+for argv in (
+    ["analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "4"],
+    ["mc", "--family", "type2", "--nu", "0.01", "--big-n", "4", "--samples", "4096",
+     "--seed", "7"],
+    ["parity", "--n", "2", "--q", "2", "--p", "0.1"],
+    ["ft-region", "--epsilon", "1e-3", "--gamma", "0", "--big-n", "1,4"],
+    ["encode-check", "--levels", "1", "--delta-theta", "1e-3,1e-4", "--seed", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert uasim.cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+
+from uasim.montecarlo import derive_point_seed, estimate_fidelity
+
+# the single-qubit mc golden row: grid point 0 of seed 7
+run = estimate_fidelity(0.01, 4, 4096, seed=derive_point_seed(7, 0))
+rom = run.fidelity.ratio_of_means
+loaded["gaussian"] = scipy_modules()
+row = [run.success_prob.mean, run.success_prob.stderr, rom.mean, rom.stderr]
+print(json.dumps({"loaded": loaded, "row": row}))
+"""
+
+
+def test_cold_import_loads_scipy_only_for_a_gaussian_draw():
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_CHILD], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    loaded = got.pop("loaded")
+    assert "scipy.special" in loaded.pop("gaussian")
+    assert loaded == dict.fromkeys(
+        ["import", "analytic", "mc", "parity", "ft-region", "encode-check"], []
+    )
+    want = [float(v) for v in MC_GOLDEN["single-qubit"][1].split(",")[3:7]]
+    assert got["row"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uasim
 from uasim.gates import (
     GATE_DEPTHS,
     FourModeParams,
@@ -240,3 +245,50 @@ def test_scalar_builder_is_the_zero_delta_batch_bit_for_bit(family):
             assert stack.shape == lead + single.shape
             for idx in np.ndindex(*lead):
                 assert np.array_equal(stack[idx], single)
+
+
+# ``_expi`` stands in for ``np.exp(1j * x)`` in every gate kernel, so its bytes
+# must equal it under numpy's fastest loops and with every dispatched SIMD
+# target switched off.  The child fails, never skips, where the targets cannot
+# be listed or switched off.
+EXPI_CHILD = """
+import math, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from uasim.gates import _expi
+
+if sys.argv[1] == "none":
+    on = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    assert not on, f"dispatch targets still enabled: {on}"
+rng = np.random.default_rng(2024)
+x = np.concatenate(
+    [rng.uniform(-10.0, 10.0, 200_000)]
+    + [c + rng.normal(0.0, 0.1, 200_000) for c in (0.0, math.pi / 2, -math.pi / 2, math.pi)]
+    + [[0.0, -0.0, 5e-324, -5e-324, 1e300]]
+)
+assert _expi(x).tobytes() == np.exp(1j * x).tobytes()
+"""
+
+
+def _dispatch_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("dispatch", ["default", "none"])
+def test_expi_equals_complex_exp_on_every_dispatch_target(dispatch):
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if dispatch == "none":
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_dispatch_targets())
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPI_CHILD, dispatch], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -428,8 +428,8 @@ def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
 
 @pytest.mark.parametrize("workers, block", [(1, 1), (1, 7), (3, 1), (3, 7)])
 def test_blocked_estimates_do_not_depend_on_the_schedule(monkeypatch, workers, block):
-    # at the default block size each 4500-sample chunk is a full block and a
-    # partial one
+    # at the default block sizes each 4500-sample chunk ends in a partial
+    # block: 4096 + 404 for fidelity, 4 x 1024 + 404 for fusion
     def runs():
         kw = dict(seed=5, chunk_size=4500)
         return [
@@ -442,6 +442,7 @@ def test_blocked_estimates_do_not_depend_on_the_schedule(monkeypatch, workers, b
     default = runs()
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
     monkeypatch.setattr(montecarlo, "_SAMPLES_PER_BLOCK", block)
+    monkeypatch.setattr(montecarlo, "_FUSION_SAMPLES_PER_BLOCK", block)
     assert runs() == default
 
 
