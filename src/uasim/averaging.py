@@ -88,13 +88,33 @@ class EncoderNoise:
         return sample_deltas(NoiseSpec(self.variance, self.kind), shape, rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedCircuit:
-    """A fully assembled encoder / gates / decoder interferometer."""
+    """An encoder / gates / decoder interferometer, held as its parts.
 
-    matrix: np.ndarray
-    num_copies: int
-    rails: int
+    ``gates`` has shape (..., N, rails, rails); each side's splitter-angle
+    offsets have shape (..., count), or are None for a side exactly at 50:50.
+    ``herald_branch`` contracts only the block it returns; ``matrix``, the
+    whole (..., N * rails, N * rails) product, is contracted on its first read
+    and then kept.  ``build_tree`` makes these and copies what it is given.
+    """
+
+    gates: np.ndarray
+    encoder_deltas: np.ndarray | None
+    decoder_deltas: np.ndarray | None
+
+    @property
+    def num_copies(self) -> int:
+        return self.gates.shape[-3]
+
+    @property
+    def rails(self) -> int:
+        return self.gates.shape[-1]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        total = self.num_copies * self.rails
+        return _contract(self, 0, total, total)
 
 
 def _tree_levels(n: int) -> list[list[tuple[int, int]]]:
@@ -150,23 +170,79 @@ def _gate_slots(num_copies: int, rails: int) -> np.ndarray:
     return (j * rails + row) * total + j * rails + col
 
 
-def _side_matrix(n, rails, deltas, correlated, mirrored):
-    """Stacked splitter network of one tree side; deltas has shape (..., count)."""
+def _side_matrix(n, rails, deltas, mirrored, lo, hi):
+    """Stacked splitter network of one tree side, only its rows lo:hi
+    (decoder, ``mirrored``) or columns lo:hi (encoder); deltas has shape
+    (..., count), or is None for a side at 50:50.
+
+    The chain starts from those rows or columns of the first level and keeps
+    the association order of the whole product, so every kept entry comes
+    from the same BLAS dot as there.
+    """
+    if deltas is None:
+        return _ideal_side(n, rails, mirrored, lo, hi)
     total = (1 << n) * rails
     lead = deltas.shape[:-1]
-    if correlated:
+    if deltas.shape[-1] < n * total // 2:  # correlated: one offset per copy pair
         deltas = np.repeat(deltas, rails, axis=-1)
     theta = math.pi / 4 + deltas
     s, c = np.sin(theta), np.cos(theta)
     layers = np.zeros(lead + (n * total * total,))
     layers[..., _splitter_slots(n, rails)] = np.concatenate([s, c, c, -s], axis=-1)
     layers = layers.reshape(lead + (n, total, total))
-    out = layers[..., 0, :, :]
+    out = layers[..., 0, lo:hi, :] if mirrored else layers[..., 0, :, lo:hi]
     for level in range(1, n):
         m = layers[..., level, :, :]
         # decoder: innermost level (finest pairing) acts first
         out = out @ m if mirrored else m @ out
     return out
+
+
+@functools.cache
+def _ideal_side(n, rails, mirrored, lo, hi):
+    """``_side_matrix`` with every splitter at 50:50, computed once, read-only."""
+    zeros = np.zeros(num_splitter_deltas(1 << n, rails, True))
+    out = _side_matrix(n, rails, zeros, mirrored, lo, hi)
+    out.setflags(write=False)
+    return out
+
+
+def _matmul(a, b):
+    """``a @ b``, as one BLAS call when ``a`` or ``b`` has no stack axes.
+
+    Broadcasting would make one call per stacked matrix.  Here a stacked
+    ``a`` has its matrices' rows laid one below another, and a stacked ``b``
+    its matrices' columns side by side; each entry is still one dot over the
+    same inner axis.
+    """
+    if a.ndim == 2 and b.ndim > 2:
+        cols = np.moveaxis(b, -2, 0).reshape(b.shape[-2], -1)
+        out = (a @ cols).reshape(a.shape[:1] + b.shape[:-2] + b.shape[-1:])
+        return np.moveaxis(out, 0, -2)
+    if b.ndim == 2 and a.ndim > 2:
+        rows = a.reshape(-1, a.shape[-1]) @ b
+        return rows.reshape(a.shape[:-1] + b.shape[-1:])
+    return a @ b
+
+
+def _contract(circuit, lo, hi, cols):
+    """Rows lo:hi and columns 0:cols of decoder · gates · encoder.
+
+    The gate layer keeps the whole product's order, (dec @ gates) @ enc, so
+    the block's bits equal the same slice of ``circuit.matrix``.
+    """
+    g, N, rails = circuit.gates, circuit.num_copies, circuit.rails
+    n = N.bit_length() - 1
+    if n == 0:
+        return g[..., 0, lo:hi, 0:cols]
+    lead = g.shape[:-3]
+    total = N * rails
+    dec_m = _side_matrix(n, rails, circuit.decoder_deltas, True, lo, hi)
+    enc_m = _side_matrix(n, rails, circuit.encoder_deltas, False, 0, cols)
+    gate_m = np.zeros(lead + (total * total,), dtype=complex)
+    gate_m[..., _gate_slots(N, rails)] = g.reshape(lead + (N * rails * rails,))
+    gate_m = gate_m.reshape(lead + (total, total))
+    return _matmul(_matmul(dec_m, gate_m), enc_m)
 
 
 def build_tree(
@@ -175,21 +251,24 @@ def build_tree(
     encoder_deltas: np.ndarray | None = None,
     decoder_deltas: np.ndarray | None = None,
 ) -> EncodedCircuit:
-    """Assemble the full interferometer around the given gate copies.
+    """The interferometer around the given gate copies, held as its parts.
 
     ``gates`` is a list of N rails-by-rails matrices or an array of shape
     (..., N, rails, rails); the leading axes stack independent trees, and
-    ``matrix`` of the result has shape (..., N * rails, N * rails).  Every
-    tree in a stack is bit-identical to the tree built from its slice alone.
+    ``matrix`` of the result has shape (..., N * rails, N * rails).  Nothing
+    is contracted here: ``herald_branch`` and ``success_branch`` contract
+    only the block they return, and ``matrix`` is contracted on its first
+    read.  Every tree in a stack, and every branch, is bit-identical to the
+    same slice of the tree built from its slice alone.
 
     Splitter-angle offsets are arrays of shape (..., count), ordered
     level-major, then pair, then rail along the last axis; random ones come
     from ``EncoderNoise.draw``.  The count tells correlated offsets (one per
-    copy pair) from independent ones (one per rail splitter).  Missing
-    offsets leave the splitters exactly at 50:50.
+    copy pair) from independent ones (one per rail splitter).  A missing
+    side, in either layout, has its splitters exactly at 50:50.
     """
     try:
-        g = np.asarray(gates, dtype=complex)
+        g = np.array(gates, dtype=complex)
     except ValueError:  # a ragged list of copies
         g = None
     N = len(gates) if g is None or g.ndim < 3 else g.shape[-3]
@@ -199,53 +278,44 @@ def build_tree(
         raise ValueError("all gate copies must be square and equally sized")
     lead = g.shape[:-3]
     rails = g.shape[-1]
-    n = N.bit_length() - 1
-    total = N * rails
-
     per_side_corr = num_splitter_deltas(N, rails, True)
-    if encoder_deltas is None:
-        encoder_deltas = np.zeros(lead + (per_side_corr,))
-    if decoder_deltas is None:
-        decoder_deltas = np.zeros(lead + (per_side_corr,))
-    encoder_deltas = np.asarray(encoder_deltas, dtype=float)
-    decoder_deltas = np.asarray(decoder_deltas, dtype=float)
-    for d in (encoder_deltas, decoder_deltas):
-        if d.ndim == 0 or d.shape[:-1] != lead:
-            raise ValueError(
-                f"delta arrays need the gates' lead shape {lead} plus one "
-                f"axis, got shape {d.shape}"
-            )
     per_side_ind = num_splitter_deltas(N, rails, False)
-    size = encoder_deltas.shape[-1]
-    if size == per_side_corr:
-        correlated = True
-    elif size == per_side_ind:
-        correlated = False
-    else:
-        raise ValueError(
-            f"expected {per_side_corr} (correlated) or {per_side_ind} "
-            f"(independent) deltas per side, got {size}"
-        )
-    if decoder_deltas.shape[-1] != size:
+    sides = []
+    for d in (encoder_deltas, decoder_deltas):
+        if d is not None:
+            d = np.array(d, dtype=float)
+            if d.ndim == 0 or d.shape[:-1] != lead:
+                raise ValueError(
+                    f"delta arrays need the gates' lead shape {lead} plus one "
+                    f"axis, got shape {d.shape}"
+                )
+            if d.shape[-1] not in (per_side_corr, per_side_ind):
+                raise ValueError(
+                    f"expected {per_side_corr} (correlated) or {per_side_ind} "
+                    f"(independent) deltas per side, got {d.shape[-1]}"
+                )
+            d.setflags(write=False)
+        sides.append(d)
+    if len({d.shape[-1] for d in sides if d is not None}) > 1:
         raise ValueError("encoder and decoder delta arrays must match in size")
-
-    if n == 0:
-        return EncodedCircuit(g[..., 0, :, :], 1, rails)
-
-    enc_m = _side_matrix(n, rails, encoder_deltas, correlated, mirrored=False)
-    dec_m = _side_matrix(n, rails, decoder_deltas, correlated, mirrored=True)
-    gate_m = np.zeros(lead + (total * total,), dtype=complex)
-    gate_m[..., _gate_slots(N, rails)] = g.reshape(lead + (N * rails * rails,))
-    gate_m = gate_m.reshape(lead + (total, total))
-    return EncodedCircuit(dec_m @ gate_m @ enc_m, N, rails)
+    g.setflags(write=False)
+    return EncodedCircuit(g, *sides)
 
 
 def herald_branch(circuit: EncodedCircuit, k: int) -> np.ndarray:
-    """Effective rails-by-rails operator for herald outcome k (0 = success)."""
-    r = circuit.rails
-    if not 0 <= k < circuit.num_copies:
+    """Effective rails-by-rails operator for herald outcome k (0 = success).
+
+    Only this block of every tree is contracted; its bits equal the slice
+    ``circuit.matrix[..., k * rails:(k + 1) * rails, 0:rails]``.
+    """
+    N, r = circuit.num_copies, circuit.rails
+    if not 0 <= k < N:
         raise ValueError(f"branch index {k} out of range")
-    return circuit.matrix[..., k * r : (k + 1) * r, 0:r]
+    # Keep at least two rows and columns: numpy sends a one-row or one-column
+    # product to BLAS gemv, which rounds unlike the gemm of the whole tree.
+    w = min(max(r, 2), N * r)
+    lo = min(k * r, N * r - w)
+    return _contract(circuit, lo, lo + w, w)[..., k * r - lo : (k + 1) * r - lo, 0:r]
 
 
 def success_branch(circuit: EncodedCircuit) -> np.ndarray:

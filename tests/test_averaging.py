@@ -6,14 +6,20 @@ k is the signed average (1/N) sum_j (-1)^{popcount(k & j)} U_j.  Everything
 else (postselection, herald analysis, noise injection) builds on that.
 """
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+import uasim
+from uasim import averaging
 from uasim.averaging import (
-    EncodedCircuit,
     EncoderNoise,
     build_tree,
     encoder_error_scaling,
@@ -182,10 +188,12 @@ def test_near_certain_herald_keeps_only_float_residue():
 
 
 def test_total_herald_returns_no_state():
-    # a circuit that routes the input rails straight into the herald modes
-    perm = np.zeros((4, 4))
-    perm[2, 0] = perm[3, 1] = perm[0, 2] = perm[1, 3] = 1.0
-    circ = EncodedCircuit(perm, num_copies=2, rails=2)
+    # a circuit that routes the input rails straight into the herald modes:
+    # copy 1 blocks its half, and a decoder splitter at angle 0 (an exact
+    # swap) sends copy 0's half to the copy-1 rails
+    circ = build_tree([np.eye(2), np.zeros((2, 2))], decoder_deltas=[-math.pi / 4])
+    herald = herald_branch(circ, 1) @ np.array([1.0, 0.0])
+    assert float(np.vdot(herald, herald).real) == pytest.approx(0.5)
     out, ps = postselect(circ, np.array([1.0, 0.0]))
     assert not out.any()
     assert ps == 0.0
@@ -408,3 +416,179 @@ def test_encoder_error_scaling_equals_one_tree_per_scale(num_copies, correlated)
         expected.append(np.linalg.norm(success_branch(circ) - ideal))
     got = encoder_error_scaling(mats, scales, pattern_seed=4, correlated=correlated)
     assert got.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# contracted blocks
+# ---------------------------------------------------------------------------
+
+OFFSETS = ["none", "zeros", "correlated", "independent", "encoder-only", "decoder-only"]
+
+
+def tree_offsets(kind, num_copies, rails, lead, rng):
+    """Keyword offsets for ``build_tree``; the one-sided kinds cover both layouts."""
+    corr = num_splitter_deltas(num_copies, rails, True)
+    indep = num_splitter_deltas(num_copies, rails, False)
+    if kind == "none":
+        return {}
+    if kind == "zeros":
+        zeros = np.zeros(lead + (corr,))
+        return dict(encoder_deltas=zeros, decoder_deltas=zeros)
+    if kind == "encoder-only":
+        return dict(encoder_deltas=rng.normal(scale=0.1, size=lead + (indep,)))
+    if kind == "decoder-only":
+        return dict(decoder_deltas=rng.normal(scale=0.1, size=lead + (corr,)))
+    size = corr if kind == "correlated" else indep
+    enc, dec = rng.normal(scale=0.1, size=(2,) + lead + (size,))
+    return dict(encoder_deltas=enc, decoder_deltas=dec)
+
+
+def whole_tree(gates, encoder_deltas=None, decoder_deltas=None):
+    """The interferometer as one dense product per tree: a matrix per splitter
+    level, each side multiplied out whole, then (dec @ gates) @ enc."""
+    N, rails = gates.shape[-3], gates.shape[-1]
+    n, total = N.bit_length() - 1, N * rails
+    out = np.empty(gates.shape[:-3] + (total, total), dtype=complex)
+    for idx in np.ndindex(*gates.shape[:-3]):
+        if n == 0:
+            out[idx] = gates[idx][0]
+            continue
+        sides = []
+        for deltas in (decoder_deltas, encoder_deltas):
+            theta = math.pi / 4 + (np.zeros(n * N // 2) if deltas is None else deltas[idx])
+            if theta.size < n * N // 2 * rails:  # one offset per copy pair
+                theta = np.repeat(theta, rails)
+            s, c = np.sin(theta), np.cos(theta)
+            levels, t = [], 0
+            for level in range(n):
+                m = np.zeros((total, total))
+                half = N >> (level + 1)
+                pairs = itertools.product(range(0, N, 2 * half), range(half), range(rails))
+                for base, off, r in pairs:
+                    i, j = (base + off) * rails + r, (base + half + off) * rails + r
+                    m[i, i], m[i, j], m[j, i], m[j, j] = s[t], c[t], c[t], -s[t]
+                    t += 1
+                levels.append(m)
+            sides.append(levels)
+        dec, enc = sides[0][0], sides[1][0]
+        for level in range(1, n):
+            dec = dec @ sides[0][level]
+            enc = sides[1][level] @ enc
+        g = np.zeros((total, total), dtype=complex)
+        for j in range(N):
+            g[j * rails : (j + 1) * rails, j * rails : (j + 1) * rails] = gates[idx][j]
+        out[idx] = dec @ g @ enc
+    return out
+
+
+@pytest.mark.parametrize("num_copies", [1, 2, 4, 8, 16])
+def test_every_branch_is_its_matrix_slice_bit_for_bit(num_copies):
+    """A branch contracts only its block, with the bits of the whole product.
+
+    ``matrix`` is checked against the tree multiplied out whole.  One rail is
+    included: its blocks are padded to two rows and columns.
+    """
+    rng = np.random.default_rng(num_copies)
+    for rails, lead, kind in itertools.product((1, 2, 4), ((), (3,), (2, 3)), OFFSETS):
+        size = lead + (num_copies, rails, rails)
+        gates = rng.normal(size=size) + 1j * rng.normal(size=size)
+        offsets = tree_offsets(kind, num_copies, rails, lead, rng)
+        circ = build_tree(gates, **offsets)
+        branches = [herald_branch(circ, k) for k in range(num_copies)]
+        whole = whole_tree(gates, **offsets)
+        assert circ.matrix.tobytes() == whole.tobytes(), (rails, lead, kind)
+        for k, branch in enumerate(branches):
+            block = circ.matrix[..., k * rails : (k + 1) * rails, 0:rails]
+            assert np.array_equal(branch, block), (rails, lead, kind, k)
+            assert branch.tobytes() == block.tobytes(), (rails, lead, kind, k)
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+@pytest.mark.parametrize("missing", ["encoder_deltas", "decoder_deltas"])
+def test_a_missing_side_is_the_ideal_side_in_either_layout(missing, correlated):
+    present = "decoder_deltas" if missing == "encoder_deltas" else "encoder_deltas"
+    rng = np.random.default_rng(12)
+    for num_copies, lead in itertools.product((2, 4, 8), ((), (3,))):
+        gates = random_unitary_stack(lead + (num_copies,), rng)
+        count = num_splitter_deltas(num_copies, 2, correlated)
+        offsets = {present: rng.normal(scale=0.1, size=lead + (count,))}
+        one_sided = build_tree(gates, **offsets)
+        explicit = build_tree(gates, **offsets, **{missing: np.zeros(lead + (count,))})
+        assert np.array_equal(one_sided.matrix, explicit.matrix)
+        assert one_sided.matrix.tobytes() == explicit.matrix.tobytes()
+        for k in range(num_copies):
+            assert herald_branch(one_sided, k).tobytes() == herald_branch(explicit, k).tobytes()
+
+
+def test_ideal_sides_and_held_parts_are_read_only():
+    circ = build_tree([random_unitary(2)] * 4, encoder_deltas=np.zeros(4))
+    success_branch(circ)
+    # the decoder rows of the success branch, computed once and then shared
+    side = averaging._ideal_side(2, 2, True, 0, 2)
+    assert averaging._ideal_side(2, 2, True, 0, 2) is side
+    for held in (side, circ.gates, circ.encoder_deltas):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.0
+
+
+def test_only_what_is_read_is_contracted(monkeypatch):
+    calls, contract = [], averaging._contract
+
+    def counted(circ, *rows_cols):
+        calls.append(rows_cols)
+        return contract(circ, *rows_cols)
+
+    monkeypatch.setattr(averaging, "_contract", counted)
+    circ = build_tree(random_unitary_stack((3, 4), RNG))
+    assert calls == []
+    success_branch(circ)
+    assert calls == [(0, 2, 2)]  # the success rows and the input columns
+    first = circ.matrix
+    assert circ.matrix is first
+    assert calls == [(0, 2, 2), (0, 8, 8)]
+
+
+# A restricted product must round like the whole one under every OpenBLAS
+# kernel set, not only the one this host picks.  The child reads the core it
+# got through ctypes and fails, never skips, when the forced core is not the
+# one in use; OpenBLAS reports its Prescott kernels under the name Katmai.
+CORE_CHILD = """
+import ctypes, sys
+import pytest
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+
+lib = ctypes.CDLL(umath.__file__)
+# numpy 2 links scipy-openblas, numpy 1.x plain openblas
+names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+getter = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+assert getter is not None, "no OpenBLAS core-name symbol"
+getter.restype = ctypes.c_char_p
+core = getter().decode()
+want = {"default": None, "Haswell": {"Haswell"}, "Prescott": {"Prescott", "Katmai"}}[sys.argv[1]]
+assert core and (want is None or core in want), f"asked for {sys.argv[1]}, got {core!r}"
+print("OpenBLAS core", core)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.parametrize("core", ["default", "Haswell", "Prescott"])
+def test_tree_bits_hold_under_each_openblas_core(core):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if core != "default":
+        env["OPENBLAS_CORETYPE"] = core
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = Path(__file__).resolve().parent
+    checks = [
+        "test_averaging.py::test_every_branch_is_its_matrix_slice_bit_for_bit",
+        "test_montecarlo.py::test_end_to_end_equals_one_tree_per_sample_bit_for_bit",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", CORE_CHILD, core, *(f"{tests}/{c}" for c in checks)],
+        env=env, cwd=tests.parent, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -26,7 +26,6 @@ from uasim.averaging import (
     evolve_pair,
     num_splitter_deltas,
     pair_state,
-    success_branch,
 )
 from uasim.gates import (
     four_mode_matrix,
@@ -259,7 +258,8 @@ def test_tree_simulation_with_jittering_splitters_stays_close():
 
 
 def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_noise, chunk_size):
-    """``estimate_end_to_end`` with one ``build_tree`` call per sample."""
+    """``estimate_end_to_end`` with one ``build_tree`` call per sample, read
+    through its whole matrix."""
     psi = np.array([1.0, 0.0], dtype=complex)
     target = single_qubit_matrix(named_gate("I")) @ psi
     n_deltas = (
@@ -285,7 +285,7 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
                 encoder_deltas=enc[b] if n_deltas else None,
                 decoder_deltas=dec[b] if n_deltas else None,
             )
-            out = success_branch(circ) @ psi
+            out = circ.matrix[0:2, 0:2] @ psi
             amps[b] = np.conj(target) @ out
             probs[b] = float(np.real(np.conj(out) @ out))
         return [(amps, probs)]
