@@ -82,6 +82,11 @@ class EncoderNoise:
     correlated: bool = True
     kind: str = "gaussian"
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform"):
+            raise ValueError(f"splitter noise kind must be gaussian or uniform, not {self.kind!r}")
+        NoiseSpec(self.variance, self.kind)  # the variance rule of the offsets
+
     def draw(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Splitter-angle offsets of the given shape for one tree side; the
         last axis holds ``num_splitter_deltas(N, rails, correlated)``."""

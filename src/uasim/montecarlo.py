@@ -5,27 +5,25 @@ Sampling layout
 Every estimator runs through ``_sweep``: runs are split into fixed-size
 chunks, and chunk i of a run with master seed s draws from
 ``SeedSequence([s, stream, i])``, so results are reproducible bit-for-bit and
-independent of how chunks are scheduled.  An estimator only supplies the
-(amplitude, probability) arrays of one chunk; ``_sweep`` keeps each chunk's
-row of moment sums, and ``_finalize`` reduces every column with ``math.fsum``
-(exactly rounded), which makes the final estimate invariant under
-permutations of the chunk order.
+independent of how chunks are scheduled.  ``_sweep`` cuts each chunk into
+blocks of samples and keeps each chunk's row of moment sums; ``_finalize``
+sums each column exactly (``math.fsum``), so the chunk order does not matter.
 
-``estimate_fidelity`` and ``estimate_fusion`` cut each chunk along the sample
-axis into blocks of ``_SAMPLES_PER_BLOCK`` and ``_FUSION_SAMPLES_PER_BLOCK``
-samples (``_sweep_blocks``).  The calling thread draws every block's offsets
-from the chunk's one generator, in block order; a thread pool sized to the
-usable cores runs the gate kernel on each block, and the per-sample arrays
-are joined back into whole-chunk arrays before ``_moments`` sums them.
-Neither the block size nor the thread count moves a bit: one generator drawn
-n1 then n2 values gives the same stream as one draw of n1 + n2, every kernel
-step acts on each sample alone, and the steps whose rounding depends on the
-array length see whole-chunk arrays: the moment sums (pairwise summation) and
-fusion's per-photon overlap (a one-row matrix-vector product goes to BLAS dot,
-a longer one to gemv).
-``estimate_end_to_end`` keeps whole-chunk draws: its splitter stream draws a
-chunk's encoder offsets before its decoder offsets, which per-block draws
-would interleave.
+A block's draw depends only on where it sits: with k offsets per sample, the
+block at sample lo draws from the chunk's generator advanced by lo * k
+(``_block_rng``).  PCG64 spends one 64-bit output per double, so these are
+the values a whole-chunk draw gives the block's samples.  The splitter stream
+of ``estimate_end_to_end`` holds a chunk's encoder offsets, then its decoder
+offsets, so a block's decoder offsets start at (count + lo) * k.
+
+Draws run on the calling thread.  ``estimate_fidelity`` and
+``estimate_fusion`` run each block's gate kernel on a thread pool;
+``estimate_end_to_end`` runs one block per chunk on the calling thread.
+Neither the block size nor the thread count moves a bit: every kernel step
+acts on each sample alone, and the steps whose rounding depends on the array
+length see whole-chunk arrays: the moment sums (pairwise summation) and
+fusion's per-photon overlap (a one-row matrix-vector product goes to BLAS
+dot, a longer one to gemv).
 
 Estimators
 ----------
@@ -52,6 +50,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence
@@ -106,7 +105,7 @@ DEFAULT_CHUNK = 65536
 # 0.076 s at 128, with the same peak memory.
 _TREES_PER_SLICE = 128
 
-# Samples per block of ``_sweep_blocks``.  At N = 16 a block's offsets are
+# Samples per block of ``estimate_fidelity``.  At N = 16 a block's offsets are
 # 2.5 MiB and each complex temporary of the gate kernel 1 MiB, so a few blocks
 # in flight per core stay in cache where a whole 65536-sample chunk does not.
 _SAMPLES_PER_BLOCK = 4096
@@ -152,8 +151,11 @@ class FusionRunResult:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, chunk]))
+def _block_rng(seed: int, stream: int, chunk: int, skip: int) -> np.random.Generator:
+    """The chunk's generator on ``stream``, advanced past its first ``skip`` doubles."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream, chunk]))
+    rng.bit_generator.advance(skip)
+    return rng
 
 
 def _iter_chunks(samples: int, chunk_size: int) -> Iterator[tuple[int, int]]:
@@ -219,19 +221,6 @@ def _finalize(rows: Sequence[Sequence[float]], n: int) -> GateRunResult:
     return GateRunResult(ps, FidelityEstimate(rom, mor))
 
 
-def _sweep(samples: int, chunk_size: int, chunk: Callable) -> list[GateRunResult]:
-    """Run ``chunk(idx, count)`` over every chunk and finalize each series.
-
-    ``chunk`` returns one (amplitude, probability) array pair per series; the
-    moment rows of every chunk are kept and reduced once at the end.
-    """
-    rows = [
-        [_moments(a, p) for a, p in chunk(idx, count)]
-        for idx, count in _iter_chunks(samples, chunk_size)
-    ]
-    return [_finalize(series, samples) for series in zip(*rows)]
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -239,42 +228,51 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_blocks(
-    samples: int,
-    chunk_size: int,
-    seed: int,
-    noise: NoiseSpec,
-    shape: tuple[int, ...],
-    kernel: Callable,
-    series: Callable,
-    block: int,
+def _sweep(
+    samples: int, chunk_size: int, block: int, draw: Callable, kernel: Callable,
+    series: Callable = lambda a, p: [(a, p)], *, threads: bool = True,
 ) -> list[GateRunResult]:
-    """``_sweep`` over chunks cut into blocks of ``block`` samples.
+    """Run every chunk as blocks of at most ``block`` samples; finalize each series.
 
-    The calling thread draws each block's offsets, of shape (n, *shape), from
-    the chunk's generator in block order.  ``kernel(deltas)`` returns a tuple
-    of per-sample arrays and runs on the pool, with at most two blocks per
-    worker in flight.  The arrays are joined over the blocks, and
-    ``series(*arrays)`` turns the whole-chunk arrays into one (amplitude,
-    probability) pair per series on the calling thread.  The pool ends with
-    the call, and a kernel's exception is raised here.
+    ``draw(idx, lo, n, count)`` draws samples lo:lo+n of chunk ``idx`` (of
+    ``count``) on the calling thread.  ``kernel(drawn)`` returns a tuple of
+    per-sample arrays, on a pool sized to the usable cores with at most two
+    blocks per worker in flight, or on the calling thread, with no pool, if
+    ``threads`` is false.  ``series`` turns the arrays, joined over the chunk,
+    into one (amplitude, probability) pair per series.  A kernel's exception
+    is raised here, after the pool has ended.
     """
     workers = _usable_cores()
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers) if threads else nullcontext() as pool:
 
-        def chunk(idx: int, count: int):
-            rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        def chunk(idx: int, count: int) -> list:
             done, pending = [], deque()
             for lo in range(0, count, block):
-                n = min(block, count - lo)
-                deltas = sample_deltas(noise, (n, *shape), rng)
+                drawn = draw(idx, lo, min(block, count - lo), count)
+                if not threads:
+                    done.append(kernel(drawn))
+                    continue
                 if len(pending) == 2 * workers:
                     done.append(pending.popleft().result())
-                pending.append(pool.submit(kernel, deltas))
+                pending.append(pool.submit(kernel, drawn))
             done.extend(f.result() for f in pending)
+            # the blocks are freed on return, before the moments are summed
             return series(*map(np.concatenate, zip(*done)))
 
-        return _sweep(samples, chunk_size, chunk)
+        chunks = _iter_chunks(samples, chunk_size)
+        rows = [[_moments(a, p) for a, p in chunk(idx, count)] for idx, count in chunks]
+    return [_finalize(s, samples) for s in zip(*rows)]
+
+
+def _gate_draw(seed: int, noise: NoiseSpec, shape: tuple[int, ...]) -> Callable:
+    """A ``_sweep`` draw of gate offsets, (n, *shape) per block."""
+    per_sample = math.prod(shape)
+
+    def draw(idx: int, lo: int, n: int, count: int) -> np.ndarray:
+        rng = _block_rng(seed, _STREAM_GATES, idx, lo * per_sample)
+        return sample_deltas(noise, (n, *shape), rng)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +348,8 @@ def estimate_fidelity(
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
         return a, np.abs(m0) ** 2 + np.abs(m1) ** 2
 
-    return _sweep_blocks(
-        samples, chunk_size, seed, noise, (num_copies, 5), kernel,
-        lambda a, p: [(a, p)], _SAMPLES_PER_BLOCK,
-    )[0]
+    draw = _gate_draw(seed, noise, (num_copies, 5))
+    return _sweep(samples, chunk_size, _SAMPLES_PER_BLOCK, draw, kernel)[0]
 
 
 def estimate_end_to_end(
@@ -387,20 +383,24 @@ def estimate_end_to_end(
     n_deltas = 0
     if encoder_noise is not None:
         n_deltas = num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
+    gate_draw = _gate_draw(seed, noise, (num_copies, 5))
 
-    def chunk(idx: int, count: int):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+    def draw(idx: int, lo: int, n: int, count: int):
         # the offsets are freed as soon as the gates are built
-        gates_mat = single_qubit_matrix(
-            base, sample_deltas(noise, (count, num_copies, 5), rng)
-        )
-        if n_deltas:
-            srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
-            enc = encoder_noise.draw((count, n_deltas), srng)
-            dec = encoder_noise.draw((count, n_deltas), srng)
-        amps = np.empty(count, dtype=complex)
-        probs = np.empty(count)
-        for lo in range(0, count, _TREES_PER_SLICE):
+        gates_mat = single_qubit_matrix(base, gate_draw(idx, lo, n, count))
+        if not n_deltas:
+            return gates_mat, None, None
+        # a chunk's decoder offsets follow all its encoder offsets
+        srng = _block_rng(seed, _STREAM_SPLITTERS, idx, lo * n_deltas)
+        enc = encoder_noise.draw((n, n_deltas), srng)
+        srng.bit_generator.advance((count - n) * n_deltas)
+        return gates_mat, enc, encoder_noise.draw((n, n_deltas), srng)
+
+    def kernel(drawn):
+        gates_mat, enc, dec = drawn
+        amps = np.empty(len(gates_mat), dtype=complex)
+        probs = np.empty(len(gates_mat))
+        for lo in range(0, len(gates_mat), _TREES_PER_SLICE):
             part = slice(lo, lo + _TREES_PER_SLICE)
             circ = build_tree(
                 gates_mat[part],
@@ -411,9 +411,11 @@ def estimate_end_to_end(
             # Per-tree vector dot products, the same BLAS calls as one tree.
             amps[part] = (np.conj(target) @ out[:, :, None])[:, 0]
             probs[part] = (np.conj(out)[:, None, :] @ out[:, :, None])[:, 0, 0].real
-        return [(amps, probs)]
+        return amps, probs
 
-    return _sweep(samples, chunk_size, chunk)[0]
+    # One block per chunk, run on the calling thread: ``build_tree`` holds the
+    # GIL on small arrays, and smaller blocks only add generators and calls.
+    return _sweep(samples, chunk_size, chunk_size, draw, kernel, threads=False)[0]
 
 
 def estimate_fusion(
@@ -473,11 +475,9 @@ def estimate_fusion(
         # matrix-vector product to BLAS dot, which rounds unlike gemv.
         return [(out1 @ np.conj(target1), p1), (a2, p2)]
 
+    draw = _gate_draw(seed, noise, shape)
     return FusionRunResult(
-        *_sweep_blocks(
-            samples, chunk_size, seed, noise, shape, kernel, series,
-            _FUSION_SAMPLES_PER_BLOCK,
-        )
+        *_sweep(samples, chunk_size, _FUSION_SAMPLES_PER_BLOCK, draw, kernel, series)
     )
 
 

@@ -344,6 +344,28 @@ def test_sampled_zero_variance_matches_ideal_tree():
     np.testing.assert_array_equal(noisy.matrix, build_tree(mats).matrix)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(kind="four-moment"), "gaussian or uniform"),
+        (dict(kind="bogus"), "gaussian or uniform"),
+        (dict(variance=-1.0), "non-negative"),
+        (dict(variance=-1.0, kind="uniform"), "non-negative"),
+    ],
+    ids=["four-moment", "bogus", "negative-variance", "negative-variance-uniform"],
+)
+def test_encoder_noise_rejects_bad_settings(settings, message):
+    # checked when built, before any estimator draws from it
+    with pytest.raises(ValueError, match=message):
+        EncoderNoise(**{"variance": 1e-4, **settings})
+
+
+def test_encoder_noise_accepts_both_continuous_kinds():
+    for kind in ("gaussian", "uniform"):
+        for variance in (0.0, 1e-4):
+            assert EncoderNoise(variance, kind=kind).kind == kind
+
+
 @pytest.mark.parametrize("num_copies", [2, 4])
 def test_encoder_offsets_enter_only_at_second_order(num_copies):
     """Success-branch error under a frozen offset pattern scales as the square.

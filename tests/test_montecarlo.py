@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from uasim import montecarlo
+from uasim import averaging, montecarlo
 from uasim.averaging import (
     EncoderNoise,
     build_tree,
@@ -39,11 +39,10 @@ from uasim.montecarlo import (
     FusionRunResult,
     _STREAM_GATES,
     _STREAM_SPLITTERS,
-    _chunk_rng,
+    _block_rng,
     _finalize,
     _iter_chunks,
     _moments,
-    _sweep,
     derive_point_seed,
     discriminate,
     estimate_end_to_end,
@@ -257,6 +256,26 @@ def test_tree_simulation_with_jittering_splitters_stays_close():
     assert abs(noisy.success_prob.mean - quiet.success_prob.mean) < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# reference implementations: whole chunks, no blocks, no threads
+# ---------------------------------------------------------------------------
+
+
+def chunk_rng(seed, stream, idx):
+    """Chunk ``idx``'s generator on ``stream``, as the sampling layout defines it."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stream, idx]))
+
+
+def one_block_sweep(samples, chunk_size, chunk):
+    """Each chunk computed whole by ``chunk(idx, count)``, which returns one
+    (amplitude, probability) pair per series, and every series finalized."""
+    rows = [
+        [_moments(a, p) for a, p in chunk(idx, count)]
+        for idx, count in _iter_chunks(samples, chunk_size)
+    ]
+    return [_finalize(series, samples) for series in zip(*rows)]
+
+
 def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_noise, chunk_size):
     """``estimate_end_to_end`` with one ``build_tree`` call per sample, read
     through its whole matrix."""
@@ -269,12 +288,12 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
     )
 
     def chunk(idx, count):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        rng = chunk_rng(seed, _STREAM_GATES, idx)
         noise = montecarlo._noise_spec(nu, "gaussian", None)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
         gates_mat = single_qubit_matrix(named_gate("I"), deltas)
         if n_deltas:
-            srng = _chunk_rng(seed, _STREAM_SPLITTERS, idx)
+            srng = chunk_rng(seed, _STREAM_SPLITTERS, idx)
             enc = encoder_noise.draw((count, n_deltas), srng)
             dec = encoder_noise.draw((count, n_deltas), srng)
         amps = np.empty(count, dtype=complex)
@@ -290,7 +309,7 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
             probs[b] = float(np.real(np.conj(out) @ out))
         return [(amps, probs)]
 
-    return _sweep(samples, chunk_size, chunk)[0]
+    return one_block_sweep(samples, chunk_size, chunk)[0]
 
 
 JITTERS = [None, EncoderNoise(1e-4), EncoderNoise(1e-3, correlated=False)]
@@ -315,6 +334,20 @@ def test_end_to_end_does_not_depend_on_the_slice_size(monkeypatch, trees_per_sli
     assert [estimate_end_to_end(0.01, n, 250, **kw) for n in (2, 4)] == default
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_end_to_end_draws_each_block_at_its_position(monkeypatch, block):
+    # The estimator runs one block per chunk; smaller blocks must find their
+    # encoder and decoder offsets on the splitter stream by position alone.
+    kw = dict(seed=5, chunk_size=100)
+    jitters = (EncoderNoise(1e-4), EncoderNoise(1e-3, correlated=False))
+    default = [estimate_end_to_end(0.01, 4, 250, encoder_noise=j, **kw) for j in jitters]
+    sweep = montecarlo._sweep
+    monkeypatch.setattr(
+        montecarlo, "_sweep", lambda s, c, b, *a, **k: sweep(s, c, block, *a, **k)
+    )
+    assert [estimate_end_to_end(0.01, 4, 250, encoder_noise=j, **kw) for j in jitters] == default
+
+
 # ---------------------------------------------------------------------------
 # blocked chunks: the bits of one whole-chunk block, on any schedule
 # ---------------------------------------------------------------------------
@@ -331,7 +364,7 @@ def fidelity_one_block(
     target = single_qubit_matrix(base) @ psi
 
     def chunk(idx, count):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        rng = chunk_rng(seed, _STREAM_GATES, idx)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
         out0, out1 = montecarlo._batched_single_qubit_out(base, deltas, psi)
         m0 = out0.mean(axis=1)
@@ -339,7 +372,7 @@ def fidelity_one_block(
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
         return [(a, np.abs(m0) ** 2 + np.abs(m1) ** 2)]
 
-    return _sweep(samples, chunk_size, chunk)[0]
+    return one_block_sweep(samples, chunk_size, chunk)[0]
 
 
 def fusion_one_block(
@@ -358,7 +391,7 @@ def fusion_one_block(
     s_target = evolve_pair(ideal, s_in)
 
     def chunk(idx, count):
-        rng = _chunk_rng(seed, _STREAM_GATES, idx)
+        rng = chunk_rng(seed, _STREAM_GATES, idx)
         if layout == "type2":
             deltas = sample_deltas(noise, (count, num_copies, 4), rng)
             mats = fusion_type2_matrix(deltas=deltas)
@@ -376,7 +409,7 @@ def fusion_one_block(
             ),
         ]
 
-    return FusionRunResult(*_sweep(samples, chunk_size, chunk))
+    return FusionRunResult(*one_block_sweep(samples, chunk_size, chunk))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform", "four-moment"])
@@ -464,6 +497,29 @@ def test_consecutive_draws_continue_one_stream(nu, kind):
         assert rng.bit_generator.state == one.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (3, 4), (3, 4, 5)], ids=["N5", "N4", "N4x5"])
+@pytest.mark.parametrize(
+    "nu, kind",
+    [(0.01, "gaussian"), (0.01, "uniform"), (0.01, "four-moment"),
+     (0.0, "gaussian"), (0.0, "uniform"), (0.0, "four-moment")],
+)
+def test_a_block_draw_depends_only_on_its_position(nu, kind, shape):
+    """Advancing the chunk's generator by lo * k gives rows lo:lo+n of the
+    whole-chunk draw, k being the offsets per sample."""
+    noise = montecarlo._noise_spec(nu, kind, None)
+    count, k = 1000, math.prod(shape)
+    whole = sample_deltas(noise, (count, *shape), chunk_rng(8, _STREAM_GATES, 2))
+    for lo, n in ((0, 1000), (0, 7), (7, 128), (135, 256), (993, 7), (999, 1)):
+        rng = _block_rng(8, _STREAM_GATES, 2, lo * k)
+        block = sample_deltas(noise, (n, *shape), rng)
+        assert block.shape == (n, *shape)
+        assert block.tobytes() == whole[lo : lo + n].tobytes()
+        # the generator is left where a whole draw of lo + n samples leaves it
+        ref = chunk_rng(8, _STREAM_GATES, 2)
+        sample_deltas(noise, (lo + n, *shape), ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
     calls = itertools.count()
     kernel = montecarlo._batched_single_qubit_out
@@ -479,6 +535,42 @@ def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
     with pytest.raises(MemoryError, match="second block"):
         estimate_fidelity(0.01, 2, 20_000, seed=1)
     assert threading.active_count() == before
+
+
+def test_draws_and_trees_stay_on_the_calling_thread(monkeypatch):
+    """Only gate kernels run on the pool; span tracers that wrap these names
+    keep one stack and rely on it."""
+    calls = []
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for owner, name in [
+        (montecarlo, "sample_deltas"),
+        (averaging, "sample_deltas"),  # through EncoderNoise.draw
+        (montecarlo, "build_tree"),
+        (montecarlo, "success_branch"),
+        (montecarlo, "_batched_single_qubit_out"),
+        (montecarlo, "four_mode_matrix"),
+    ]:
+        record(owner, name)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    estimate_fidelity(0.01, 3, 20_000, seed=1)
+    estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode")
+    estimate_end_to_end(0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140)
+
+    me = threading.get_ident()
+    kernels = {"_batched_single_qubit_out", "four_mode_matrix"}
+    assert {name for name, _ in calls} == kernels | {"sample_deltas", "build_tree", "success_branch"}
+    assert all(ident == me for name, ident in calls if name not in kernels)
+    # the kernels did run on the pool, so the check above can see a worker
+    assert all(ident != me for name, ident in calls if name in kernels)
 
 
 # estimate_end_to_end(0.01, 4, 4096, seed=7) as printed by the per-sample
