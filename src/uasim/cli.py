@@ -12,6 +12,10 @@ by its field's kind, so both sources obey the same rules.  A handler returns
 its table; ``_render`` turns it into every output before ``main`` writes any,
 so a usage error leaves no output.
 
+The parser is built on the first ``main`` call, not at import, and reused by
+every later call in the process; it keeps no per-call state, so a call gives
+the bytes and exit code it gives in a fresh process.
+
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input data,
 4 internal error.
 """
@@ -210,7 +214,6 @@ def _switch(value, flag: str) -> bool:
 _REPEATED = (_parse_floats, _parse_big_n, _parse_copies, _parse_levels)
 
 
-@functools.cache  # one string per field, shared by every parser main builds
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
@@ -645,7 +648,13 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built by the first ``main`` call of a process and
+    shared by every later one.  It holds no per-call state: a list field
+    appends to a None default, so each parse starts a new list; each parse
+    fills a new Namespace; and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` when it prints help or an error."""
     parser = argparse.ArgumentParser(
         prog="uasim",
         description="Averaged linear-optics gates: formulas, sampling, regions.",

@@ -4,6 +4,7 @@ Everything runs through ``main(argv)`` in-process; stdout still goes through
 the normal emit path, so byte-level determinism checks are meaningful.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uasim
+from uasim import cli
 from uasim.cli import main
 from uasim.formulas import effective_rates
 from uasim.ftregion import load_synthetic_curve
@@ -632,6 +634,14 @@ def test_unwritable_destination_is_a_usage_error(run, tmp_path, flag):
     assert out == ""
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "uasim.cli", "parity", "--n", "2", "--q", "2", "--p", "0.1"],
@@ -676,11 +686,8 @@ print(json.dumps({"loaded": loaded, "row": row}))
 
 
 def test_cold_import_loads_scipy_only_for_a_gaussian_draw():
-    src = str(Path(uasim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_CHILD], env=env, capture_output=True, text=True
+        [sys.executable, "-c", COLD_CHILD], env=child_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
@@ -691,6 +698,83 @@ def test_cold_import_loads_scipy_only_for_a_gaussian_draw():
     )
     want = [float(v) for v in MC_GOLDEN["single-qubit"][1].split(",")[3:7]]
     assert got["row"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, with nothing carried from one call to the next
+# ---------------------------------------------------------------------------
+
+
+def call(*argv):
+    """main in this process, with new stdout and stderr streams for the call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_call(*argv):
+    """The same call in a fresh ``python -m uasim.cli`` process."""
+    proc = subprocess.run([sys.executable, "-m", "uasim.cli", *argv],
+                          env=child_env(), capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+ENCODE = ("encode-check", "--levels", "2", "--delta-theta", "1e-2,1e-3", "--seed", "3")
+FINAL_CALLS = [
+    ("analytic", "--formula", "ps-single", "--nu", "0.03", "--big-n", "2"),
+    ("mc", "--family", "type2", "--nu", "0.01", "--big-n", "2", "--samples", "64",
+     "--seed", "5"),
+    ENCODE,
+    ("parity", "--n", "2", "--q", "3", "--p", "0.2"),
+    ("ft-region", "--epsilon", "1e-3", "--gamma", "1e-2", "--big-n", "1,4"),
+]
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path):
+    code, out, _ = call("analytic", "--formula", "ps-single", "--nu", "0.01",
+                        "--nu", "0.02", "--big-n", "2", "--variant", "main")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0.01", "0.02"]
+
+    code, out, err = call("parity", "--n", "2", "--q", "2", "--p", "0.1", "--bogus")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --bogus" in err
+
+    helps = [call("--help") for _ in range(2)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and "encode-check" in helps[0][1]
+
+    independent = call(*ENCODE, "--independent")
+    assert independent[0] == 0
+
+    cfg = tmp_path / "cfg.json"
+    code, dumped, _ = call("parity", "--n", "2", "--q", "2", "--p", "0.1", "--p", "0.3",
+                           "--format", "json", "--dump-config", str(cfg))
+    assert code == 0
+    assert call("parity", "--config", str(cfg)) == (0, dumped, "")
+
+    for argv in FINAL_CALLS:
+        assert call(*argv) == fresh_call(*argv), argv
+    # the correlated table, not the one the --independent call printed
+    assert call(*ENCODE)[1] != independent[1]
+
+
+def test_one_parser_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a parser built before the patch would not be counted
+    getattr(cli._build_parser, "cache_clear", lambda: None)()
+    for _ in range(2):
+        for argv in FINAL_CALLS:
+            assert call(*argv)[0] == 0, argv
+    assert 1 <= len(built) <= 6, built
 
 
 # ---------------------------------------------------------------------------

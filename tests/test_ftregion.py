@@ -3,6 +3,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from uasim.cli import main as cli_main
@@ -102,6 +103,45 @@ def test_densified_leaves_the_interpolant_invariant():
     assert len(d.epsilons) == 4 * (len(c.epsilons) - 1) + 1
     for eps in (2e-6, 1e-4, 7e-4, 5e-3, 2.9e-2):
         assert d.gamma_at(eps) == pytest.approx(c.gamma_at(eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("curve", [
+    load_synthetic_curve(),
+    load_synthetic_curve().densified(),
+    ThresholdCurve("demo", (1e-4, 1e-3, 1e-2), (0.02, 0.01, 0.005)),
+], ids=["shipped", "densified", "demo"])
+def test_gamma_at_matches_the_log_log_interpolant_bit_for_bit(curve):
+    lo, hi = math.log(curve.epsilons[0]), math.log(curve.epsilons[-1])
+    rng = np.random.default_rng(18)
+    for eps in np.exp(rng.uniform(lo - 2, hi + 1, 200)):
+        eps = float(eps)
+        want = math.exp(np.interp(math.log(eps), np.log(curve.epsilons),
+                                  np.log(curve.gammas)))
+        inside = curve.epsilons[0] <= eps <= curve.epsilons[-1]
+        assert curve.gamma_at(eps) == (want if inside else None)
+
+
+def test_ft_region_default_curve_calls_are_byte_identical(capsys):
+    argv = ["ft-region", "--epsilon", "1e-5,1e-3", "--gamma", "1e-2", "--big-n", "1,4",
+            "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"curve": "synthetic-demo"' in outputs[0]
+
+
+def test_curve_file_is_reread_on_every_call(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    argv = ["ft-region", "--curve", str(path), "--epsilon", "1e-3", "--gamma", "1e-2",
+            "--big-n", "1"]
+    for name, gamma in (("first", "0.005"), ("second", "0.02")):
+        path.write_text(f"# code: {name}\nepsilon,gamma\n1e-4,{gamma}\n1e-2,{gamma}\n")
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"# curve: {name}" in out
+        assert out.splitlines()[1].endswith("true" if name == "second" else "false")
 
 
 # ---------------------------------------------------------------------------
