@@ -20,10 +20,13 @@ Draws run on the calling thread.  ``estimate_fidelity`` and
 ``estimate_fusion`` run each block's gate kernel on a thread pool;
 ``estimate_end_to_end`` runs one block per chunk on the calling thread.
 Neither the block size nor the thread count moves a bit: every kernel step
-acts on each sample alone, and the steps whose rounding depends on the array
-length see whole-chunk arrays: the moment sums (pairwise summation) and
-fusion's per-photon overlap (a one-row matrix-vector product goes to BLAS
-dot, a longer one to gemv).
+acts on each sample alone, and the moment sums, whose pairwise summation
+rounds by array length, see whole-chunk arrays.  Fusion's per-photon overlap
+is a matrix-vector product over the joined chunk, taken in parts of at most
+``_OVERLAP_ROWS`` rows: a one-row product goes to BLAS dot, a longer one to
+gemv, and a part has one row only when its chunk does.  Parts that small
+keep OpenBLAS on one thread; a larger gemv wakes a helper thread that then
+spins against the pool workers.
 
 Estimators
 ----------
@@ -113,6 +116,13 @@ _SAMPLES_PER_BLOCK = 4096
 # ``estimate_fusion`` blocks hold a stack of 4x4 complex matrices per copy:
 # 2 MiB per temporary at N = 8 for 1024 samples, 8 MiB for 4096.
 _FUSION_SAMPLES_PER_BLOCK = 1024
+
+# Rows per matrix-vector product of fusion's per-photon overlap.  numpy's
+# bundled OpenBLAS threads a complex gemv from m * n >= 4096, and its helper
+# thread then busy-waits for about 0.135 s, holding a core the thread pool
+# needs: a 16384 x 4 product left 48 ms of CPU spent in a 50 ms sleep after
+# each call, against 0.1 ms at 512 x 4, which OpenBLAS runs on one thread.
+_OVERLAP_ROWS = 512
 
 # Stream tags keep independent random quantities on disjoint substreams.
 _STREAM_GATES = 0
@@ -471,9 +481,13 @@ def estimate_fusion(
         )
 
     def series(out1, p1, a2, p2):
-        # On the whole chunk, not per block: numpy hands a one-row
-        # matrix-vector product to BLAS dot, which rounds unlike gemv.
-        return [(out1 @ np.conj(target1), p1), (a2, p2)]
+        # Over the chunk in near-equal parts of at most _OVERLAP_ROWS rows:
+        # gemv gives each row the same bits at any row count, but numpy
+        # hands a one-row product to BLAS dot, which rounds unlike gemv, and
+        # array_split leaves a one-row part only for a one-row chunk.
+        parts = np.array_split(out1, -(-len(out1) // _OVERLAP_ROWS))
+        a1 = np.concatenate([part @ np.conj(target1) for part in parts])
+        return [(a1, p1), (a2, p2)]
 
     draw = _gate_draw(seed, noise, shape)
     return FusionRunResult(

@@ -14,7 +14,11 @@ tests are deterministic.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,17 +441,28 @@ def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(gate, input_state, 
 
 
 @pytest.mark.parametrize("layout", ["type2", "four-mode"])
-@pytest.mark.parametrize("num_copies", [1, 3])
+@pytest.mark.parametrize(
+    "num_copies, samples, chunk_size",
+    [(1, 9_001, 4097), (3, 9_001, 4097), (2, 9_001, 513), (2, 9_001, 1025),
+     (2, 2051, 1025)],
+    ids=["1", "3", "2-513", "2-1025", "2-1025-tail1"],
+)
 @pytest.mark.parametrize(
     "pair, mode", [((0, 2), 0), ((1, 1), 2)], ids=["pair02-mode0", "pair11-mode2"]
 )
-def test_fusion_equals_one_block_bit_for_bit(layout, num_copies, pair, mode):
+def test_fusion_equals_one_block_bit_for_bit(
+    layout, num_copies, samples, chunk_size, pair, mode
+):
+    # The overlap is taken in parts of at most 512 rows.  Chunks of 513 and
+    # 1025 sit one row past a multiple of 512, where cutting off 512-row
+    # parts would leave a one-row tail for BLAS dot.  2051 samples at 1025
+    # end in a one-sample chunk, which goes to dot in the reference too.
     kw = dict(
         seed=53 + num_copies, layout=layout, photon_pair=pair,
-        single_photon_mode=mode, chunk_size=4097,
+        single_photon_mode=mode, chunk_size=chunk_size,
     )
-    assert estimate_fusion(0.01, num_copies, 9_001, **kw) == fusion_one_block(
-        0.01, num_copies, 9_001, **kw
+    assert estimate_fusion(0.01, num_copies, samples, **kw) == fusion_one_block(
+        0.01, num_copies, samples, **kw
     )
 
 
@@ -457,6 +472,31 @@ def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
         assert estimate_fusion(0.01, 2, 9_001, **kw) == fusion_one_block(
             0.01, 2, 9_001, **kw
         )
+
+
+SPIN_CHILD = """
+import time
+from uasim.montecarlo import estimate_fusion
+
+for layout in ("type2", "four-mode"):
+    estimate_fusion(0.01, 2, 16384, seed=1, layout=layout)
+    cpu = time.process_time()
+    time.sleep(0.05)
+    spent = time.process_time() - cpu
+    assert spent < 0.01, f"{layout}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep"
+"""
+
+
+def test_fusion_leaves_no_blas_thread_spinning():
+    # A complex gemv of 1024 x 4 or more runs on two OpenBLAS threads, and
+    # the helper thread then busy-waits for about 0.135 s after the call.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPIN_CHILD], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("workers, block", [(1, 1), (1, 7), (3, 1), (3, 7)])
