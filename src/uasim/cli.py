@@ -10,7 +10,10 @@ Each subcommand's fields live in one table (``_SUBCOMMANDS``).  argparse only
 collects strings; every value, from a flag or from a config, is parsed once
 by its field's kind, so both sources obey the same rules.  A handler returns
 its table; ``_render`` turns it into every output before ``main`` writes any,
-so a usage error leaves no output.
+so a usage error leaves no output.  Every JSON text — table, report and
+dumped config — is written by one function, ``_json_text``, which gives the
+bytes of ``json.dumps(value, sort_keys=True, indent=2)`` through json's C
+encoder.
 
 The parser is built on the first ``main`` call, not at import, and reused by
 every later call in the process; it keeps no per-call state, so a call gives
@@ -74,7 +77,7 @@ def _dump(subcommand: str, params: dict) -> str:
     payload = {k: _plain(v) for k, v in params.items()
                if v is not None and k not in _DESTINATIONS}
     payload["subcommand"] = subcommand
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def _read_config(path: str, subcommand: str) -> dict:
@@ -94,6 +97,46 @@ def _read_config(path: str, subcommand: str) -> dict:
             f"config is for subcommand {stored!r}, invoked with {subcommand!r}"
         )
     return payload
+
+
+@functools.cache
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """The C encoder, separating members as ``indent=2`` does at ``level``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent``, json runs its pure-Python encoder (Python 3.12 and
+    older), so a container whose members are all scalars takes one call of
+    a C encoder whose item separator carries the newline and indent instead;
+    only deeper containers recurse here, and write their dict keys as json
+    does.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return _flat_encoder(level).encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    members = value.values() if isinstance(value, dict) else value
+    close = "\n" + "  " * level
+    inner = close + "  "
+    if all(v is None or isinstance(v, (str, int, float)) for v in members):
+        text = _flat_encoder(level).encode(value)
+        return text[0] + inner + text[1:-1] + close + text[-1]
+    if not isinstance(value, dict):
+        parts = [_json_text(v, level + 1) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + close + "]"
+    parts = []
+    for key, member in sorted(value.items()):
+        if not (key is None or isinstance(key, (str, int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        if not isinstance(key, str):  # json's spelling: 1, 1.5, NaN, true, null
+            key = _flat_encoder(level).encode(key)
+        parts.append(json.encoder.encode_basestring_ascii(key) + ": "
+                     + _json_text(member, level + 1))
+    return "{" + inner + ("," + inner).join(parts) + close + "}"
 
 
 def _plain(value):
@@ -271,7 +314,7 @@ def _render(subcommand: str, params: dict, table: _Table) -> list[tuple]:
             "rows": [{c: _plain(r[c]) for c in columns} for r in table.rows],
         }
         payload.update(table.extras)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
 
     outputs = []
     if params.get("report"):
@@ -279,7 +322,7 @@ def _render(subcommand: str, params: dict, table: _Table) -> list[tuple]:
             raise UsageError(
                 "--report needs a single-qubit grid with at least three noisy points"
             )
-        report = json.dumps(table.extras["discrimination"], sort_keys=True, indent=2)
+        report = _json_text(table.extras["discrimination"])
         outputs.append(("--report", params["report"], report + "\n"))
     outputs.append(("--out", params["out"] or None, text))
     if params["svg"]:

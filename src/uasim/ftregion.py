@@ -13,6 +13,7 @@ ships with the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib.resources import files
@@ -116,12 +117,17 @@ class ThresholdCurve:
             return None
         if epsilon < self.epsilons[0] or epsilon > self.epsilons[-1]:
             return None
-        val = np.interp(
-            math.log(epsilon),
-            np.log(self.epsilons),
-            np.log(self.gammas),
-        )
-        return float(math.exp(val))
+        log_eps, log_gam = self._log_points
+        return math.exp(np.interp(math.log(epsilon), log_eps, log_gam))
+
+    @functools.cached_property
+    def _log_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.log`` of both coordinate tuples, read-only.  Held in the
+        instance dict, outside the fields, so equality and hash ignore it."""
+        logs = np.log(self.epsilons), np.log(self.gammas)
+        for arr in logs:
+            arr.flags.writeable = False
+        return logs
 
     def densified(self) -> "ThresholdCurve":
         """Insert log-log midpoints between neighbors; the interpolant (and
@@ -186,7 +192,9 @@ def best_n(
     return next((p.num_copies for p in points if p.fault_tolerant), None)
 
 
+@functools.cache
 def load_synthetic_curve() -> ThresholdCurve:
-    """The shipped demonstration curve."""
+    """The shipped demonstration curve, read on the first call and shared by
+    every later one; a curve is immutable, so sharing it is safe."""
     with (files("uasim") / "data" / "synthetic_curve.csv").open() as fh:
         return ThresholdCurve.from_csv(fh)

@@ -634,6 +634,81 @@ def test_unwritable_destination_is_a_usage_error(run, tmp_path, flag):
     assert out == ""
 
 
+# ---------------------------------------------------------------------------
+# JSON output: one writer, json.dumps's bytes
+# ---------------------------------------------------------------------------
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+json_text_strings = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('\x00\x1f\x7f"\\/\u2028é\ud800'),
+    max_size=6,
+)
+json_text_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text_strings
+    | st.sampled_from([-0.0, 5e-324, 2.5e-310, math.inf, -math.inf, math.nan,
+                       2**64, -(2**100), 10**300])
+)
+json_text_values = st.recursive(
+    json_text_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_text_strings, inner, max_size=4)
+    # one key type per dict: json itself cannot sort mixed key types
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=3)
+    | st.dictionaries(st.floats(), inner, max_size=3)
+    | st.dictionaries(st.none(), inner, max_size=1),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(value=json_text_values)
+def test_json_text_is_json_dumps(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": {(1, 2): [0]}}, [object()],
+                                   {"a": [{"b": {1j}}]}])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        dumps(value)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+JSON_CALLS = [
+    ("analytic", "--formula", "ps-single", "--nu", "0.01,0.02", "--big-n", "2,inf"),
+    ("mc", "--family", "type2", "--nu", "0.01", "--big-n", "2", "--samples", "64",
+     "--seed", "5"),
+    ("mc", "--nu", "0.005,0.01,0.02", "--big-n", "2", "--samples", "500", "--seed", "3"),
+    ("encode-check", "--levels", "2", "--delta-theta", "1e-2,1e-3", "--seed", "3"),
+    ("parity", "--n", "2", "--q", "3", "--p", "0.2"),
+    ("ft-region", "--epsilon", "1e-5,1e-3", "--gamma", "0,1e-2", "--big-n", "1,4"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_CALLS, ids=["analytic", "mc-type2", "mc-single",
+                                                 "encode-check", "parity", "ft-region"])
+def test_json_stdout_is_json_dumps_bytes(run, argv):
+    code, out, _ = run(*argv, "--format", "json")
+    assert code == 0
+    assert out == dumps(json.loads(out)) + "\n"
+
+
+def test_report_and_dumped_config_are_json_dumps_bytes(run, tmp_path):
+    report, cfg = tmp_path / "report.json", tmp_path / "cfg.json"
+    code, _, _ = run(*JSON_CALLS[2], "--report", str(report), "--dump-config", str(cfg))
+    assert code == 0
+    for path in (report, cfg):
+        text = path.read_text()
+        assert text == dumps(json.loads(text)) + "\n"
+
+
 def child_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(uasim.__file__).resolve().parents[1])

@@ -2,10 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uasim
 from uasim.cli import main as cli_main
 from uasim.formulas import effective_rates
 from uasim.ftregion import (
@@ -142,6 +147,42 @@ def test_curve_file_is_reread_on_every_call(tmp_path, capsys):
         out = capsys.readouterr().out
         assert f"# curve: {name}" in out
         assert out.splitlines()[1].endswith("true" if name == "second" else "false")
+
+
+def test_shipped_curve_is_read_once():
+    assert load_synthetic_curve() is load_synthetic_curve()
+
+
+def test_cached_logs_are_read_only():
+    curve = load_synthetic_curve()
+    curve.gamma_at(1e-3)
+    for logs in curve._log_points:
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+
+
+def test_cached_logs_leave_equality_and_hash_alone():
+    def fresh():
+        return ThresholdCurve("demo", (1e-4, 1e-3, 1e-2), (0.02, 0.01, 0.005))
+
+    curve, before = fresh(), fresh()
+    key = hash(curve)
+    assert curve.gamma_at(1e-3) == pytest.approx(0.01)
+    assert "_log_points" in vars(curve)
+    assert curve == before and hash(curve) == key == hash(before)
+    assert {curve: 1}[before] == 1
+
+
+def test_import_reads_no_curve():
+    child = ("import uasim.cli, uasim.ftregion as f; "
+             "print(f.load_synthetic_curve.cache_info().currsize)")
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # ---------------------------------------------------------------------------
