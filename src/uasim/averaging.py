@@ -43,7 +43,8 @@ def herald_weights(n: int, k: int) -> np.ndarray:
     """Signs (-1)**popcount(k & j) applied to copy j in herald branch k.
 
     These are the entries of row k of the n-fold Hadamard transform (times
-    2**(n/2)); branch 0 is the all-plus success branch.
+    2**(n/2)); branch 0 is the all-plus success branch.  Public as the
+    closed-form oracle for the herald signs of ``build_tree``'s branches.
     """
     N = 1 << n
     if not 0 <= k < N:
@@ -56,7 +57,8 @@ def herald_weights(n: int, k: int) -> np.ndarray:
 
 
 def heralded_operator(matrices: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Signed average (1/N) sum_j f_jk U_j implemented by herald outcome k."""
+    """Signed average (1/N) sum_j f_jk U_j implemented by herald outcome k;
+    public as the closed-form oracle that ``herald_branch`` is checked against."""
     mats = np.array([np.asarray(m, dtype=complex) for m in matrices])
     n = len(mats).bit_length() - 1
     if len(mats) != 1 << n:
@@ -102,6 +104,7 @@ class EncodedCircuit:
     ``herald_branch`` contracts only the block it returns; ``matrix``, the
     whole (..., N * rails, N * rails) product, is contracted on its first read
     and then kept.  ``build_tree`` makes these and copies what it is given.
+    Public as ``build_tree``'s return type.
     """
 
     gates: np.ndarray

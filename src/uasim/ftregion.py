@@ -28,7 +28,6 @@ __all__ = [
     "ThresholdCurve",
     "SweepPoint",
     "sweep_region",
-    "best_n",
     "load_synthetic_curve",
 ]
 
@@ -146,6 +145,8 @@ class ThresholdCurve:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One (epsilon, gamma, N) verdict; public as ``sweep_region``'s return type."""
+
     epsilon: float
     gamma: float
     num_copies: int
@@ -179,17 +180,6 @@ def sweep_region(
                 ok = limit is not None and loss <= limit
                 out.append(SweepPoint(eps, gam, n, err, loss, ok))
     return out
-
-
-def best_n(
-    epsilon: float,
-    gamma: float,
-    candidates: Sequence[int],
-    curve: ThresholdCurve,
-) -> int | None:
-    """Smallest candidate copy count that reaches fault tolerance, if any."""
-    points = sweep_region([epsilon], [gamma], sorted(candidates), curve)
-    return next((p.num_copies for p in points if p.fault_tolerant), None)
 
 
 @functools.cache

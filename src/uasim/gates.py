@@ -18,8 +18,6 @@ import numpy as np
 __all__ = [
     "GateParams",
     "NoiseSpec",
-    "FusionParams",
-    "FourModeParams",
     "GATE_DEPTHS",
     "named_gate",
     "single_qubit_matrix",
@@ -186,30 +184,18 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """Splitter angles of the Type-II fusion network (theta1..theta4)."""
-
-    theta1: float = math.pi / 4
-    theta2: float = math.pi / 4
-    theta3: float = math.pi / 4
-    theta4: float = math.pi / 4
-
-
-def fusion_type2_matrix(
-    p: FusionParams = FusionParams(), deltas: np.ndarray | None = None
-) -> np.ndarray:
+def fusion_type2_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     """Type-II fusion network: splitters (theta1 on modes 1,2; theta2 on 3,4),
     swap of modes 2,4, then splitters (theta3 on 1,2; theta4 on 3,4).
 
-    Each splitter is the real [[sin, cos], [cos, -sin]], 50:50 at pi/4, and
-    each input-output path crosses exactly two splitter angles.  ``deltas``
-    of shape (..., 4) offsets the four angles and gives the stack of noisy
-    matrices, shape deltas.shape[:-1] + (4, 4).
+    Each splitter is the real [[sin, cos], [cos, -sin]], and each input-output
+    path crosses exactly two splitter angles.  The nominal setting is 50:50,
+    every theta at pi/4; ``deltas`` of shape (..., 4) offsets the four angles
+    and gives the stack of noisy matrices, shape deltas.shape[:-1] + (4, 4).
     """
     if deltas is None:
         deltas = np.zeros(4)
-    t = np.array([p.theta1, p.theta2, p.theta3, p.theta4]) + deltas
+    t = math.pi / 4 + deltas
     s, c = np.sin(t), np.cos(t)
     s1, s2, s3, s4 = (s[..., i] for i in range(4))
     c1, c2, c3, c4 = (c[..., i] for i in range(4))
@@ -233,40 +219,23 @@ def fusion_type2_matrix(
     return m
 
 
-@dataclass(frozen=True)
-class FourModeParams:
-    """General four-mode gate: two layers of single-qubit blocks around the
-    2<->4 swap.
+def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of the general four-mode gate: two layers of single-qubit blocks
+    around the 2<->4 swap.
 
     Layout: [block C on modes 1,2 | block D on modes 3,4] . swap(2,4) .
     [block A on modes 1,2 | block B on modes 3,4].  Twenty parameters in all;
     every path crosses exactly six (three per layer), reproducing the 6-nu
-    first-order law.  With all blocks at the 50:50 zero-phase setting the
-    matrix equals the Type-II network at theta = pi/4 exactly.
-    """
-
-    block_a: GateParams = _NAMED["H"]
-    block_b: GateParams = _NAMED["H"]
-    block_c: GateParams = _NAMED["H"]
-    block_d: GateParams = _NAMED["H"]
-
-    def blocks(self) -> tuple[GateParams, GateParams, GateParams, GateParams]:
-        return (self.block_a, self.block_b, self.block_c, self.block_d)
-
-
-def four_mode_matrix(
-    p: FourModeParams = FourModeParams(), deltas: np.ndarray | None = None
-) -> np.ndarray:
-    """Matrix of the four-mode gate.
-
-    ``deltas`` of shape (..., 4, 5) offsets the five parameters of blocks
-    A..D and gives the stack of noisy matrices, shape deltas.shape[:-2] + (4, 4).
+    first-order law.  The nominal setting has every block at ``H``, the 50:50
+    zero-phase splitter, where the matrix equals the Type-II network exactly.
+    ``deltas`` of shape (..., 4, 5) offsets the five parameters of blocks A..D
+    and gives the stack of noisy matrices, shape deltas.shape[:-2] + (4, 4).
     """
     if deltas is None:
         deltas = np.zeros((4, 5))
     lead = deltas.shape[:-2]
     d = deltas if lead else deltas[None]  # one batch axis, as in single_qubit_matrix
-    blocks = [single_qubit_matrix(b, d[..., i, :]) for i, b in enumerate(p.blocks())]
+    blocks = [single_qubit_matrix(_NAMED["H"], d[..., i, :]) for i in range(4)]
     # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1), so
     # A's rows land on rows 0 and 3 and B's on rows 2 and 1
     pre = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)

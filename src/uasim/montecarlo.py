@@ -131,7 +131,7 @@ _STREAM_SPLITTERS = 1
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error; public as the field type of every estimator result."""
 
     mean: float
     stderr: float
@@ -140,18 +140,24 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
+    """Both fidelity ratios of one run; public as a field of ``GateRunResult``."""
+
     ratio_of_means: McEstimate
     mean_of_ratios: McEstimate
 
 
 @dataclass(frozen=True)
 class GateRunResult:
+    """Success probability and fidelity; public as the single-gate estimators' return type."""
+
     success_prob: McEstimate
     fidelity: FidelityEstimate
 
 
 @dataclass(frozen=True)
 class FusionRunResult:
+    """Per-photon and two-photon results; public as ``estimate_fusion``'s return type."""
+
     per_photon: GateRunResult
     two_photon: GateRunResult
 

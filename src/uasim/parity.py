@@ -23,23 +23,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .formulas import success_prob_first_order
-
 __all__ = [
     "ParityCode",
     "LogicalState",
     "HeraldPattern",
     "HeraldAmplitudes",
-    "HeraldedBranchAmplitudes",
     "VerifierReport",
     "success_criteria",
     "logical_success_prob",
     "enumerate_success_prob",
-    "branch_amplitudes",
     "parity_block_state",
     "encoded_state",
     "statevector_verify",
-    "herald_prob_from_ua",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -148,8 +143,8 @@ def logical_success_prob(code: ParityCode, p):
 def enumerate_success_prob(code: ParityCode, p):
     """The same probability by brute force over all 2^(nq) herald patterns.
 
-    Kept separate from the closed form on purpose, as its independent check;
-    refuses more than 16 physical qubits (65 536 patterns).
+    Public as the independent oracle for ``logical_success_prob``; refuses
+    more than 16 physical qubits (65 536 patterns).
     """
     if not 0 <= p <= 1:
         raise ValueError("herald probability must lie in [0, 1]")
@@ -162,12 +157,6 @@ def enumerate_success_prob(code: ParityCode, p):
             k = sum(bits)
             total = total + p**k * (1 - p) ** (m - k)
     return total
-
-
-def herald_prob_from_ua(nu: float, num_copies: float, depth: int = 3) -> float:
-    """Per-qubit herald rate fed by an averaged gate of the given per-path
-    depth: the first-order success deficit d nu (1 - 1/N)."""
-    return 1.0 - success_prob_first_order(depth * nu, num_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -191,56 +180,6 @@ class HeraldAmplitudes:
     def functional(self) -> np.ndarray:
         """Row vector contracting a qubit into its herald amplitude."""
         return np.array([self.delta_h, -self.delta_v])
-
-
-@dataclass(frozen=True)
-class HeraldedBranchAmplitudes:
-    """Joint amplitudes of a J-qubit herald inside one parity block.
-
-    delta_theta and delta_phi multiply the |0>- and |1>-labelled remainders
-    of the damaged block; after the disentangling measurement they survive
-    only as a global factor plus ``sign``, the +/-1 written onto the logical
-    |1> component by the measurement outcome.
-    """
-
-    delta_theta: complex
-    delta_phi: complex
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def measured_factor(self) -> complex:
-        """Global factor picked up by the chosen outcome."""
-        if self.sign == 1:
-            return self.delta_theta + self.delta_phi
-        return self.delta_theta - self.delta_phi
-
-
-def branch_amplitudes(
-    deltas: Sequence[HeraldAmplitudes], outcome: int = 1
-) -> HeraldedBranchAmplitudes:
-    """Contract per-qubit herald functionals with the J-qubit parity states.
-
-    ``outcome`` is the +/-1 result of the later survivor measurement; it
-    fixes which of delta_theta +/- delta_phi becomes the global factor.
-    """
-    j = len(deltas)
-    if j < 1:
-        raise ValueError("need at least one heralded qubit")
-    chi = [d.functional() for d in deltas]
-    theta = _contract_all(chi, parity_block_state(j, 0))
-    phi = _contract_all(chi, parity_block_state(j, 1))
-    return HeraldedBranchAmplitudes(theta, phi, 1 if outcome >= 0 else -1)
-
-
-def _contract_all(rows: Sequence[np.ndarray], block: np.ndarray) -> complex:
-    out = block
-    for row in rows:
-        out = np.tensordot(row, out, axes=([0], [0]))
-    return complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +218,7 @@ def _apply_on_axis(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerifierReport:
-    """Outcome of a state-vector check of the recovery story."""
+    """Outcome of a state-vector check; public as ``statevector_verify``'s return type."""
 
     passed: bool
     deviation: float
@@ -313,7 +252,8 @@ def statevector_verify(
     leftover survivor sitting in its rotated +/- state.
 
     Herald amplitudes are taken from ``branches`` (qubit index -> amplitudes)
-    or drawn from ``rng``.  Keeps to registers of at most 16 qubits.
+    or drawn from ``rng``.  Keeps to registers of at most 16 qubits.  Public
+    as the brute-force oracle for the recovery story ``success_criteria`` encodes.
     """
     m = code.physical_qubits
     if m > 16:

@@ -16,7 +16,6 @@ from uasim.formulas import effective_rates
 from uasim.ftregion import (
     CurveFormatError,
     ThresholdCurve,
-    best_n,
     load_synthetic_curve,
     sweep_region,
 )
@@ -222,11 +221,6 @@ def test_averaging_can_rescue_a_high_error_point():
     # epsilon off the right edge
     assert not sweep_region([5e-3], [1e-3], [1], steep)[0].fault_tolerant
     assert sweep_region([5e-3], [1e-3], [8], steep)[0].fault_tolerant
-    assert best_n(5e-3, 1e-3, [1, 2, 4, 8, 16], steep) == 8
-
-
-def test_best_n_returns_none_when_hopeless():
-    assert best_n(0.5, 0.5, [1, 2, 4], FLAT) is None
 
 
 def test_sweep_region_order_and_content():

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,6 @@ from hypothesis import strategies as st
 import uasim
 from uasim.gates import (
     GATE_DEPTHS,
-    FourModeParams,
-    FusionParams,
     GateParams,
     NoiseSpec,
     four_mode_matrix,
@@ -142,8 +142,9 @@ def test_fusion_matrix_product_form_matches_explicit_entries():
     """The layered product agrees with writing each path's entry by hand."""
     rng = np.random.default_rng(11)
     for _ in range(20):
-        t1, t2, t3, t4 = rng.uniform(0, 2 * math.pi, size=4)
-        m = fusion_type2_matrix(FusionParams(t1, t2, t3, t4))
+        t = rng.uniform(0, 2 * math.pi, size=4)
+        m = fusion_type2_matrix(t - math.pi / 4)
+        t1, t2, t3, t4 = t
         s1, c1 = math.sin(t1), math.cos(t1)
         s2, c2 = math.sin(t2), math.cos(t2)
         s3, c3 = math.sin(t3), math.cos(t3)
@@ -174,27 +175,26 @@ def _splitter_layer(a, b):
 
 
 def test_fusion_at_quarter_pi_is_balanced_and_orthogonal():
-    m = fusion_type2_matrix(FusionParams())
+    m = fusion_type2_matrix()
     np.testing.assert_allclose(np.abs(m), 0.5, atol=1e-15)
     np.testing.assert_allclose(m.T @ m, np.eye(4), atol=1e-14)
 
 
 def test_fusion_at_half_pi_reduces_to_the_mode_swap():
-    m = fusion_type2_matrix(FusionParams(*(math.pi / 2,) * 4))
+    m = fusion_type2_matrix(np.full(4, math.pi / 4))
     np.testing.assert_allclose(m, np.eye(4)[[0, 3, 2, 1]], atol=1e-15)
 
 
 def test_four_mode_gate_with_balanced_blocks_equals_fusion():
-    np.testing.assert_array_equal(
-        four_mode_matrix(FourModeParams()), fusion_type2_matrix(FusionParams())
-    )
+    np.testing.assert_array_equal(four_mode_matrix(), fusion_type2_matrix())
 
 
 def test_four_mode_gate_is_unitary_for_random_blocks():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        blocks = [GateParams(*rng.uniform(-3, 3, size=5)) for _ in range(4)]
-        m = four_mode_matrix(FourModeParams(*blocks))
+        blocks = rng.uniform(-3, 3, size=(4, 5))
+        # a block setting is its offset from the nominal H block
+        m = four_mode_matrix(blocks - np.array(astuple(named_gate("H"))))
         np.testing.assert_allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
 
 
@@ -207,44 +207,41 @@ def test_path_parameter_counts():
 # ---------------------------------------------------------------------------
 
 
-def _random_single(rng):
-    return GateParams(*rng.uniform(-3, 3, size=5))
+def _single_qubit_builders():
+    rng = np.random.default_rng(31)
+    named = [named_gate(g) for g in ("I", "X", "Y", "H")] + [named_gate("Z", 0.3)]
+    randoms = [GateParams(*rng.uniform(-3, 3, size=5)) for _ in range(50)]
+    return [partial(single_qubit_matrix, p) for p in named + randoms]
 
 
+# family -> (offset shape, builders taking only ``deltas``); a two-qubit
+# network has one nominal setting, and any other is an offset.
 SCALAR_AND_BATCHED = {
-    "single-qubit": (
-        single_qubit_matrix,
-        (5,),
-        [named_gate(g) for g in ("I", "X", "Y", "H")] + [named_gate("Z", 0.3)],
-        _random_single,
-    ),
-    "type2": (
-        fusion_type2_matrix,
-        (4,),
-        [FusionParams(), FusionParams(*(math.pi / 2,) * 4)],
-        lambda rng: FusionParams(*rng.uniform(0, 2 * math.pi, size=4)),
-    ),
-    "four-mode": (
-        four_mode_matrix,
-        (4, 5),
-        [FourModeParams(), FourModeParams(*(named_gate(g) for g in ("X", "Y", "H", "I")))],
-        lambda rng: FourModeParams(*(_random_single(rng) for _ in range(4))),
-    ),
+    "single-qubit": ((5,), _single_qubit_builders()),
+    "type2": ((4,), [fusion_type2_matrix]),
+    "four-mode": ((4, 5), [four_mode_matrix]),
 }
 
 
 @pytest.mark.parametrize("family", sorted(SCALAR_AND_BATCHED))
 def test_scalar_builder_is_the_zero_delta_batch_bit_for_bit(family):
-    build, delta_shape, named, draw = SCALAR_AND_BATCHED[family]
-    rng = np.random.default_rng(31)
-    for p in named + [draw(rng) for _ in range(50)]:
-        single = build(p)
+    delta_shape, builders = SCALAR_AND_BATCHED[family]
+    rng = np.random.default_rng(37)
+    for build in builders:
+        single = build()
         assert single.shape == ((2, 2) if family == "single-qubit" else (4, 4))
         for lead in ((3,), (2, 3)):
-            stack = build(p, np.zeros(lead + delta_shape))
+            stack = build(np.zeros(lead + delta_shape))
             assert stack.shape == lead + single.shape
             for idx in np.ndindex(*lead):
                 assert np.array_equal(stack[idx], single)
+        # each row of a random-offset stack is the one-sample call with its offsets
+        for _ in range(10):
+            for lead in ((3,), (2, 3)):
+                offsets = rng.uniform(-3, 3, lead + delta_shape)
+                stack = build(offsets)
+                for idx in np.ndindex(*lead):
+                    assert np.array_equal(stack[idx], build(offsets[idx]))
 
 
 # ``_expi`` stands in for ``np.exp(1j * x)`` in every gate kernel, so its bytes

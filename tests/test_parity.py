@@ -12,10 +12,8 @@ from uasim.parity import (
     HeraldPattern,
     LogicalState,
     ParityCode,
-    branch_amplitudes,
     encoded_state,
     enumerate_success_prob,
-    herald_prob_from_ua,
     logical_success_prob,
     parity_block_state,
     statevector_verify,
@@ -108,46 +106,6 @@ class TestSuccessProbability:
             enumerate_success_prob(ParityCode(2, 2), -0.1)
         with pytest.raises(ValueError):
             enumerate_success_prob(ParityCode(5, 4), 0.1)  # 20 qubits, over the cap
-
-
-def test_herald_rate_from_averaging():
-    # first-order deficit of a depth-3 averaged gate
-    assert herald_prob_from_ua(0.01, 4) == pytest.approx(0.0225)
-    assert herald_prob_from_ua(0.01, 4, depth=2) == pytest.approx(0.015)
-    assert herald_prob_from_ua(0.01, 1) == pytest.approx(0.0)
-
-
-# ---------------------------------------------------------------------------
-# herald branch algebra
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("j", [1, 2, 3])
-def test_equal_rail_amplitudes_cancel_one_outcome(j):
-    """delta_h = delta_v contracts onto <-|^J: the two block amplitudes are
-    opposite, so the '+' outcome branch carries zero weight."""
-    amps = [HeraldAmplitudes(0.5, 0.5)] * j
-    br = branch_amplitudes(amps, outcome=1)
-    assert br.delta_theta == pytest.approx(-br.delta_phi)
-    assert abs(br.measured_factor) < 1e-12
-
-    # the sign-reversed case kills the '-' outcome instead
-    amps = [HeraldAmplitudes(0.5, -0.5)] * j
-    br = branch_amplitudes(amps, outcome=-1)
-    assert br.delta_theta == pytest.approx(br.delta_phi)
-    assert abs(br.measured_factor) < 1e-12
-
-
-def test_branch_amplitudes_single_qubit_values():
-    # J = 1 blocks are plain |H>, |V>: theta = delta_h, phi = -delta_v
-    br = branch_amplitudes([HeraldAmplitudes(0.7, 0.2)])
-    assert br.delta_theta == pytest.approx(0.7)
-    assert br.delta_phi == pytest.approx(-0.2)
-
-
-def test_branch_amplitudes_need_a_herald():
-    with pytest.raises(ValueError):
-        branch_amplitudes([])
 
 
 # ---------------------------------------------------------------------------
