@@ -15,6 +15,13 @@ dumped config — is written by one function, ``_json_text``, which gives the
 bytes of ``json.dumps(value, sort_keys=True, indent=2)`` through json's C
 encoder.
 
+``mc`` samples its (nu, N) grid through ``montecarlo.grid_estimates`` for
+every gate family: one loop, nu-major, one derived seed per point.  A family
+is one entry of ``_MC_FAMILIES``: its two Monte Carlo columns and the
+``_FORMULAS`` id whose variants give the law columns.  Every law of the grid
+is checked before the first point is sampled, and a point whose noise draw
+does not fit in memory is named by its own N.
+
 The parser is built on the first ``main`` call, not at import, and reused by
 every later call in the process; it keeps no per-call state, so a call gives
 the bytes and exit code it gives in a fresh process.
@@ -46,12 +53,7 @@ from .ftregion import (
     sweep_region,
 )
 from .gates import named_gate, single_qubit_matrix
-from .montecarlo import (
-    derive_point_seed,
-    discriminate,
-    estimate_fusion,
-    grid_estimates,
-)
+from .montecarlo import discriminate, estimate_fusion, grid_estimates
 from .parity import ParityCode, logical_success_prob
 from .svgplot import write_line_chart
 
@@ -419,95 +421,77 @@ def _series_by(rows, *, key, x, y):
     return [(label, xs, ys) for label, (xs, ys) in order.items()]
 
 
-# Columns after nu, N, samples, mc_mean and mc_stderr, by gate family.
-_MC_COLUMNS = {
-    "single-qubit": ("mc_fidelity", "mc_fidelity_stderr", "main", "second_order",
-                     "fourth_order"),
-    "type2": ("mc_pair_mean", "mc_pair_stderr", "main", "alt"),
-    "four-mode": ("mc_pair_mean", "mc_pair_stderr", "analytic"),
+# Per gate family: the two Monte Carlo columns after mc_mean and mc_stderr,
+# and the _FORMULAS id whose variants give the law columns.
+_MC_FAMILIES = {
+    "single-qubit": (("mc_fidelity", "mc_fidelity_stderr"), "ps-single"),
+    "type2": (("mc_pair_mean", "mc_pair_stderr"), "ps-type2"),
+    "four-mode": (("mc_pair_mean", "mc_pair_stderr"), "ps-four-mode"),
 }
-
-
-def _unallocatable(big_n: int) -> UsageError:
-    return UsageError(
-        f"--big-n {big_n}: the noise draw for that many copies does not fit in memory"
-    )
 
 
 def cmd_mc(p: dict) -> _Table:
     """Monte Carlo success probabilities beside every analytic variant."""
     family = p["family"] or "single-qubit"
     seed, samples, nus, copies = p["seed"], p["samples"], p["nu"], p["big_n"]
+    pair_columns, formula_id = _MC_FAMILIES[family]
+    func, variants = _FORMULAS[formula_id]
+    law_columns = ({v.replace("-", "_"): [v] for v in variants} if variants
+                   else {"analytic": []})
+    # every law of the grid is checked before the first point is sampled
+    laws = {
+        (nu, big_n): {col: _law(func, nu, big_n, *v) for col, v in law_columns.items()}
+        for nu in nus for big_n in copies
+    }
+    estimator = None  # grid_estimates runs estimate_fidelity
+    if family != "single-qubit":
+        estimator = functools.partial(estimate_fusion, layout=family)
 
-    extras: dict = {}
-    comments: list[str] = []
-    rows = []
-    if family == "single-qubit":
-        try:
-            points = grid_estimates(nus, copies, samples, seed=seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        except MemoryError:
-            raise _unallocatable(max(copies)) from None
-        for pt in points:
-            nu, big_n = pt["nu"], pt["num_copies"]
+    rows, usable = [], []
+    try:
+        for nu, big_n, run in grid_estimates(nus, copies, samples, seed=seed,
+                                             estimator=estimator):
+            if estimator is None:
+                est, pair = run.success_prob, run.fidelity.ratio_of_means
+            else:
+                est, pair = run.per_photon.success_prob, run.two_photon.success_prob
             rows.append(
                 {
                     "nu": nu,
                     "N": _label_n(big_n),
-                    "samples": pt["samples"],
-                    "mc_mean": pt["mean"],
-                    "mc_stderr": pt["stderr"],
-                    "mc_fidelity": pt["fidelity"],
-                    "mc_fidelity_stderr": pt["fidelity_stderr"],
-                    **{
-                        v.replace("-", "_"): _law(formulas.success_prob_single, nu, big_n, v)
-                        for v in formulas.SINGLE_QUBIT_VARIANTS
-                    },
+                    "samples": samples,
+                    "mc_mean": est.mean,
+                    "mc_stderr": est.stderr,
+                    pair_columns[0]: pair.mean,
+                    pair_columns[1]: pair.stderr,
+                    **laws[nu, big_n],
                 }
             )
-        # N = 1 rows carry no information about the variants (all agree there)
-        # and their stderr is rounding dust, so they stay out of the fit.
-        usable = [
-            pt for pt in points
-            if pt["nu"] > 0 and pt["stderr"] > 0 and pt["num_copies"] > 1
-        ]
-        if len(usable) >= 3:
-            report = dict(discriminate(usable))
-            report["seed"] = seed
-            report["samples_per_point"] = samples
-            extras["discrimination"] = report
-            comments.append(f"selected_variant: {report['selected']}")
-    else:
-        for i, (nu, big_n) in enumerate(
-            (nu, n) for nu in nus for n in copies
-        ):
-            try:
-                res = estimate_fusion(
-                    nu, big_n, samples, seed=derive_point_seed(seed, i), layout=family
+            # N = 1 rows carry no information about the variants (all agree
+            # there) and their stderr is rounding dust, so they stay out of the fit.
+            if nu > 0 and est.stderr > 0 and big_n > 1:
+                usable.append(
+                    {"nu": nu, "num_copies": big_n, "mean": est.mean, "stderr": est.stderr}
                 )
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            except MemoryError:
-                raise _unallocatable(big_n) from None
-            row = {
-                "nu": nu,
-                "N": _label_n(big_n),
-                "samples": samples,
-                "mc_mean": res.per_photon.success_prob.mean,
-                "mc_stderr": res.per_photon.success_prob.stderr,
-                "mc_pair_mean": res.two_photon.success_prob.mean,
-                "mc_pair_stderr": res.two_photon.success_prob.stderr,
-            }
-            if family == "type2":
-                for v in formulas.TYPE2_VARIANTS:
-                    row[v] = _law(formulas.success_prob_type2, nu, big_n, v)
-            else:
-                row["analytic"] = _law(formulas.success_prob_four_mode, nu, big_n)
-            rows.append(row)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    except MemoryError:
+        # points run nu-major, so the one that failed follows the last row
+        big_n = copies[len(rows) % len(copies)]
+        raise UsageError(
+            f"--big-n {big_n}: the noise draw for that many copies does not fit in memory"
+        ) from None
 
+    extras: dict = {}
+    comments: list[str] = []
+    if estimator is None and len(usable) >= 3:
+        report = dict(discriminate(usable))
+        report["seed"] = seed
+        report["samples_per_point"] = samples
+        extras["discrimination"] = report
+        comments.append(f"selected_variant: {report['selected']}")
     return _Table(
-        ("nu", "N", "samples", "mc_mean", "mc_stderr") + _MC_COLUMNS[family],
+        ("nu", "N", "samples", "mc_mean", "mc_stderr", *pair_columns, *law_columns),
         rows,
         _series_by(rows, key="N", x="nu", y="mc_mean"),
         {
@@ -656,7 +640,7 @@ _SUBCOMMANDS = {
         **_COMMON,
     }),
     "mc": (cmd_mc, "Monte Carlo success probabilities", ("nu", "big_n", "samples", "seed"), {
-        "family": (_choice(*_MC_COLUMNS), "single-qubit (default), type2 or four-mode"),
+        "family": (_choice(*_MC_FAMILIES), "single-qubit (default), type2 or four-mode"),
         "nu": (_parse_floats, "variance grid (repeat or comma-list)"),
         "big_n": (_parse_copies, "copy counts, powers of two"),
         "samples": (_whole(2), "samples per grid point"),

@@ -37,8 +37,8 @@ Estimators
                          chunk's samples, each contracting only the trees'
                          success block
 ``estimate_fusion``      per-photon and two-photon measures of averaged fusion
-``grid_estimates``       ``estimate_fidelity`` over a (nu, N) grid, one derived
-                         seed per point
+``grid_estimates``       any of these over a (nu, N) grid, nu-major, one
+                         derived seed per point; ``uasim mc``'s one grid loop
 ``discriminate``         ranks the published second-order laws on grid points
 
 Fidelity is reported two ways and the two are NOT interchangeable:
@@ -572,33 +572,17 @@ def grid_estimates(
     samples_per_point: int,
     *,
     seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> list[dict]:
-    """Success probability and ratio-of-means fidelity over the (nu, N) grid.
+    estimator: Callable | None = None,
+) -> Iterator[tuple[float, int, object]]:
+    """Yield (nu, N, run) for every point of the (nu, N) grid, nu-major.
 
-    Every grid point gets its own derived seed, so the estimates are
-    independent across points yet fully reproducible from ``seed``.
+    Point i is ``estimator(nu, N, samples_per_point, seed=derive_point_seed(seed, i))``,
+    so the runs are independent across points yet fully reproducible from
+    ``seed``.  Without an estimator each point runs this module's
+    ``estimate_fidelity``, looked up as the point is sampled.
     """
-    points = []
     for i, (nu, big_n) in enumerate(product(nus, copies)):
-        run = estimate_fidelity(
-            nu,
-            big_n,
-            samples_per_point,
-            seed=derive_point_seed(seed, i),
-            chunk_size=chunk_size,
+        run = (estimator or estimate_fidelity)(
+            nu, big_n, samples_per_point, seed=derive_point_seed(seed, i)
         )
-        est = run.success_prob
-        rom = run.fidelity.ratio_of_means
-        points.append(
-            {
-                "nu": nu,
-                "num_copies": big_n,
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "samples": est.samples,
-                "fidelity": rom.mean,
-                "fidelity_stderr": rom.stderr,
-            }
-        )
-    return points
+        yield nu, big_n, run

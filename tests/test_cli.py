@@ -98,45 +98,64 @@ def test_analytic_usage_errors(run, argv):
     assert err.startswith("uasim:")
 
 
+def bad(case_id, *argv, message="uasim:"):
+    """One usage-error case: its argv and the start of its one-line message."""
+    return pytest.param(argv, message, id=case_id)
+
+
+# 2**40 copies: the noise draw is larger than any address space, so the
+# allocation fails at once and nothing is committed.  The grid stops at that
+# first point and names it, not the largest N of the grid.
+UNALLOCATABLE = f"uasim: --big-n {2**40}: the noise draw for that many copies does not fit"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("mc", "--nu", "nan", "--big-n", "2", "--samples", "100", "--seed", "1"),
-        ("mc", "--nu", "inf", "--big-n", "2", "--samples", "100", "--seed", "1"),
-        ("mc", "--nu", "-0.1", "--big-n", "2", "--samples", "100", "--seed", "1"),
-        ("mc", "--family", "type2", "--nu", "-0.1", "--big-n", "2", "--samples", "100",
-         "--seed", "1"),
-        ("analytic", "--formula", "ps-single", "--nu", "nan", "--big-n", "2"),
-        ("encode-check", "--levels", "nan", "--delta-theta", "1e-3,1e-4", "--seed", "5"),
-        ("encode-check", "--levels", "1", "--delta-theta", "inf,1e-3", "--seed", "5"),
-        ("encode-check", "--levels", "1", "--delta-theta", "1e-3,1e-4", "--seed", "5",
-         "--gate", "Z", "--alpha", "nan"),
-        ("analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "nan"),
-        ("analytic", "--formula", "ps-single", "--nu", "0.01", "--big-n", "2,-inf"),
-        ("analytic", "--formula", "ps-single", "--nu", "1e200", "--big-n", "2"),
-        ("mc", "--nu", "1e300", "--big-n", "2", "--samples", "10", "--seed", "1"),
+        bad("mc-nu-nan", "mc", "--nu", "nan", "--big-n", "2", "--samples", "100",
+            "--seed", "1"),
+        bad("mc-nu-inf", "mc", "--nu", "inf", "--big-n", "2", "--samples", "100",
+            "--seed", "1"),
+        bad("mc-nu-negative", "mc", "--nu", "-0.1", "--big-n", "2", "--samples", "100",
+            "--seed", "1"),
+        bad("mc-type2-nu-negative", "mc", "--family", "type2", "--nu", "-0.1",
+            "--big-n", "2", "--samples", "100", "--seed", "1"),
+        bad("analytic-nu-nan", "analytic", "--formula", "ps-single", "--nu", "nan",
+            "--big-n", "2"),
+        bad("encode-levels-nan", "encode-check", "--levels", "nan",
+            "--delta-theta", "1e-3,1e-4", "--seed", "5"),
+        bad("encode-delta-inf", "encode-check", "--levels", "1",
+            "--delta-theta", "inf,1e-3", "--seed", "5"),
+        bad("encode-alpha-nan", "encode-check", "--levels", "1",
+            "--delta-theta", "1e-3,1e-4", "--seed", "5", "--gate", "Z", "--alpha", "nan"),
+        bad("analytic-big-n-nan", "analytic", "--formula", "ps-single", "--nu", "0.01",
+            "--big-n", "nan"),
+        bad("analytic-big-n-negative-inf", "analytic", "--formula", "ps-single",
+            "--nu", "0.01", "--big-n", "2,-inf"),
+        bad("analytic-nu-overflow", "analytic", "--formula", "ps-single", "--nu", "1e200",
+            "--big-n", "2"),
+        bad("mc-nu-overflow", "mc", "--nu", "1e300", "--big-n", "2", "--samples", "10",
+            "--seed", "1"),
         # offsets this small cannot move a splitter off 50:50
-        ("encode-check", "--levels", "1", "--delta-theta", "1e-300,1e-299", "--seed", "1"),
+        bad("encode-zero-deviation", "encode-check", "--levels", "1",
+            "--delta-theta", "1e-300,1e-299", "--seed", "1"),
         # a loss rate is a probability
-        ("ft-region", "--epsilon", "1e-3", "--gamma", "1.5", "--big-n", "1,4"),
-        # 2**40 copies: the noise draw is larger than any address space, so
-        # the allocation fails at once and nothing is committed
-        ("mc", "--nu", "0.01", "--big-n", "1099511627776", "--samples", "10", "--seed", "1"),
-        ("mc", "--family", "type2", "--nu", "0.01", "--big-n", "1099511627776",
-         "--samples", "10", "--seed", "1"),
-    ],
-    ids=[
-        "mc-nu-nan", "mc-nu-inf", "mc-nu-negative", "mc-type2-nu-negative",
-        "analytic-nu-nan", "encode-levels-nan", "encode-delta-inf", "encode-alpha-nan",
-        "analytic-big-n-nan", "analytic-big-n-negative-inf", "analytic-nu-overflow",
-        "mc-nu-overflow", "encode-zero-deviation", "mc-big-n-unallocatable",
-        "mc-type2-big-n-unallocatable", "ft-region-gamma-above-one",
+        bad("ft-region-gamma-above-one", "ft-region", "--epsilon", "1e-3", "--gamma", "1.5",
+            "--big-n", "1,4"),
+        bad("mc-big-n-unallocatable", "mc", "--nu", "0.01", "--big-n", str(2**40),
+            "--samples", "10", "--seed", "1", message=UNALLOCATABLE),
+        bad("mc-type2-big-n-unallocatable", "mc", "--family", "type2", "--nu", "0.01",
+            "--big-n", str(2**40), "--samples", "10", "--seed", "1", message=UNALLOCATABLE),
+        bad("mc-big-n-first-unallocatable", "mc", "--nu", "0.01",
+            "--big-n", f"{2**40},{2**41}", "--samples", "10", "--seed", "1",
+            message=UNALLOCATABLE),
     ],
 )
-def test_bad_numbers_are_usage_errors(run, argv):
+def test_bad_numbers_are_usage_errors(run, argv, message):
     code, out, err = run(*argv)
     assert code == 2
-    assert err.startswith("uasim:")
+    assert err.startswith(message)
+    assert err.count("\n") == 1
     assert "internal error" not in err
     assert out == ""
 
@@ -164,6 +183,38 @@ def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family
     assert code == 2
     assert err.startswith("uasim: --big-n 2:")
     assert out == ""
+
+
+@pytest.mark.parametrize("family, law", [
+    ("single-qubit", "success_prob_single"), ("type2", "success_prob_type2"),
+])
+def test_every_law_is_checked_before_the_first_point_is_sampled(run, monkeypatch,
+                                                                 family, law):
+    """A grid whose last nu has no finite law exits 2 before any sampling,
+    through either estimator: the single-qubit grid's own and the fusion
+    partial cli builds."""
+    from uasim import montecarlo
+
+    calls = []
+
+    def recording(estimator):
+        def record(*args, **kwargs):
+            calls.append(args)
+            return estimator(*args, **kwargs)
+
+        return record
+
+    monkeypatch.setattr(montecarlo, "estimate_fidelity",
+                        recording(montecarlo.estimate_fidelity))
+    monkeypatch.setattr(cli, "estimate_fusion", recording(cli.estimate_fusion))
+    code, out, err = run(
+        "mc", "--family", family, "--nu", "0.01,1e300", "--big-n", "2",
+        "--samples", "2000", "--seed", "1",
+    )
+    assert code == 2
+    assert err == f"uasim: --nu 1e+300 at N = 2: {law} is not finite\n"
+    assert out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ Bands are 5 standard errors around those values with seeds frozen, so the
 tests are deterministic.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -41,6 +42,7 @@ from uasim.gates import (
 from uasim.montecarlo import (
     DEFAULT_CHUNK,
     FusionRunResult,
+    GateRunResult,
     _STREAM_GATES,
     _STREAM_SPLITTERS,
     _block_rng,
@@ -761,23 +763,56 @@ def test_derived_seeds_are_frozen_and_distinct():
 
 
 def test_grid_estimates_reproducible():
-    kwargs = dict(seed=9, chunk_size=8192)
-    a = grid_estimates([0.01], [2, 4], 10_000, **kwargs)
-    b = grid_estimates([0.01], [2, 4], 10_000, **kwargs)
+    """The grid replays bit for bit, and an estimator with its own settings
+    (here a non-default chunk size) runs as given at every point."""
+    estimator = functools.partial(estimate_fidelity, chunk_size=8192)
+    a = list(grid_estimates([0.01], [2, 4], 10_000, seed=9, estimator=estimator))
+    b = list(grid_estimates([0.01], [2, 4], 10_000, seed=9, estimator=estimator))
     assert a == b
-    assert [pt["num_copies"] for pt in a] == [2, 4]
-    assert set(a[0]) == {
-        "nu", "num_copies", "mean", "stderr", "samples", "fidelity", "fidelity_stderr",
-    }
+    assert [(nu, big_n) for nu, big_n, _ in a] == [(0.01, 2), (0.01, 4)]
+    for _, _, run in a:
+        assert isinstance(run, GateRunResult)
+        assert run.success_prob.samples == 10_000
 
 
 def test_grid_with_fidelity_leaves_success_prob_bits_alone():
     """Each grid point is one estimate_fidelity run on its derived seed, so
     carrying the fidelity must not move the success-probability numbers by
     even an ulp."""
-    rich = grid_estimates([0.02], [2], 4_000, seed=9)
+    [(nu, big_n, rich)] = grid_estimates([0.02], [2], 4_000, seed=9)
     direct = estimate_fidelity(0.02, 2, 4_000, seed=derive_point_seed(9, 0))
-    assert rich[0]["mean"] == direct.success_prob.mean
-    assert rich[0]["stderr"] == direct.success_prob.stderr
-    assert rich[0]["fidelity"] == direct.fidelity.ratio_of_means.mean
-    assert rich[0]["fidelity_stderr"] == direct.fidelity.ratio_of_means.stderr
+    assert (nu, big_n) == (0.02, 2)
+    assert rich.success_prob == direct.success_prob
+    assert rich.fidelity.ratio_of_means == direct.fidelity.ratio_of_means
+
+
+def test_grid_runs_nu_major_on_derived_seeds(monkeypatch):
+    """Point i is (nu, N) in nu-major order on ``derive_point_seed(seed, i)``;
+    without an estimator the grid looks up ``estimate_fidelity`` as it runs,
+    which is where the benchmark's tracer replaces it."""
+    calls = []
+
+    def recording(nu, big_n, samples, *, seed):
+        calls.append((nu, big_n, samples, seed))
+        return len(calls)
+
+    monkeypatch.setattr(montecarlo, "estimate_fidelity", recording)
+    got = list(grid_estimates([0.02, 0.01], [4, 1, 2], 100, seed=5))
+    order = [(0.02, 4), (0.02, 1), (0.02, 2), (0.01, 4), (0.01, 1), (0.01, 2)]
+    assert got == [(nu, big_n, i + 1) for i, (nu, big_n) in enumerate(order)]
+    assert calls == [
+        (nu, big_n, 100, derive_point_seed(5, i)) for i, (nu, big_n) in enumerate(order)
+    ]
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [None, estimate_fidelity, functools.partial(estimate_fusion, layout="type2")],
+    ids=["default", "fidelity", "type2-fusion"],
+)
+def test_grid_point_is_a_direct_call_on_its_derived_seed(estimator):
+    direct = estimator or estimate_fidelity
+    points = list(grid_estimates([0.01, 0.03], [1, 2], 2_000, seed=11, estimator=estimator))
+    assert len(points) == 4
+    for i, (nu, big_n, run) in enumerate(points):
+        assert run == direct(nu, big_n, 2_000, seed=derive_point_seed(11, i))

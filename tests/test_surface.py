@@ -1,6 +1,7 @@
 """The package's public surface: what it exports, and what the benchmark's tracer reaches."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -30,12 +31,49 @@ tracing.Tracer("t").install()
 """
 
 
-def test_benchmark_tracer_installs():
+def run_with_tracer(child: str) -> subprocess.CompletedProcess:
     src = str(Path(uasim.__file__).resolve().parents[1])
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, perfbench, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", TRACER_CHILD], env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-B", "-c", child], env=env, capture_output=True, text=True
     )
+
+
+def test_benchmark_tracer_installs():
+    proc = run_with_tracer(TRACER_CHILD)
     assert proc.returncode == 0, proc.stderr
+
+
+# The tracer replaces each estimator at the attribute ``uasim mc`` reaches it
+# through, so an estimator bound elsewhere at import would run untraced.
+TRACED_MC_CHILD = """
+import contextlib, io, json
+import tracing
+import uasim.cli
+
+tracer = tracing.Tracer("t")
+tracer.install()
+tracer.active = True
+codes = []
+for family in ("single-qubit", "type2"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(uasim.cli.main(["mc", "--family", family, "--nu", "0.01",
+                                     "--big-n", "1,2", "--samples", "64", "--seed", "1"]))
+print(json.dumps({"codes": codes, "spans": [[s[2], s[5]] for s in tracer.spans]}))
+"""
+
+
+def test_benchmark_tracer_sees_every_mc_estimator():
+    proc = run_with_tracer(TRACED_MC_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0]
+    estimators = [
+        (name, attrs["N"]) for name, attrs in got["spans"] if name.startswith("montecarlo.estimate_")
+    ]
+    assert estimators == [
+        ("montecarlo.estimate_fidelity", 1), ("montecarlo.estimate_fidelity", 2),
+        ("montecarlo.estimate_fusion", 1), ("montecarlo.estimate_fusion", 2),
+    ]
