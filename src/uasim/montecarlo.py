@@ -16,17 +16,19 @@ the values a whole-chunk draw gives the block's samples.  The splitter stream
 of ``estimate_end_to_end`` holds a chunk's encoder offsets, then its decoder
 offsets, so a block's decoder offsets start at (count + lo) * k.
 
-Draws run on the calling thread.  ``estimate_fidelity`` and
-``estimate_fusion`` run each block's gate kernel on a thread pool;
+``estimate_fidelity`` and ``estimate_fusion`` run each block as one task on
+a thread pool, which draws the block's offsets and then runs its gate
+kernel; the calling thread only collects the results in block order.
 ``estimate_end_to_end`` runs one block per chunk on the calling thread.
-Neither the block size nor the thread count moves a bit: every kernel step
-acts on each sample alone, and the moment sums, whose pairwise summation
-rounds by array length, see whole-chunk arrays.  Fusion's per-photon overlap
-is a matrix-vector product over the joined chunk, taken in parts of at most
-``_OVERLAP_ROWS`` rows: a one-row product goes to BLAS dot, a longer one to
-gemv, and a part has one row only when its chunk does.  Parts that small
-keep OpenBLAS on one thread; a larger gemv wakes a helper thread that then
-spins against the pool workers.
+Neither the block size nor the thread count moves a bit: a block's draw
+depends only on its position, every kernel step acts on each sample alone,
+and the moment sums, whose pairwise summation rounds by array length, see
+whole-chunk arrays.  Fusion's per-photon overlap is a matrix-vector product
+over the joined chunk, taken in parts of at most ``_OVERLAP_ROWS`` rows: a
+one-row product goes to BLAS dot, a longer one to gemv, and a part has one
+row only when its chunk does.  Parts that small keep OpenBLAS on one thread;
+a larger gemv wakes a helper thread that then spins against the pool
+workers.
 
 Estimators
 ----------
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
@@ -250,27 +252,30 @@ def _sweep(
 ) -> list[GateRunResult]:
     """Run every chunk as blocks of at most ``block`` samples; finalize each series.
 
-    ``draw(idx, lo, n, count)`` draws samples lo:lo+n of chunk ``idx`` (of
-    ``count``) on the calling thread.  ``kernel(drawn)`` returns a tuple of
-    per-sample arrays, on a pool sized to the usable cores with at most two
-    blocks per worker in flight, or on the calling thread, with no pool, if
-    ``threads`` is false.  ``series`` turns the arrays, joined over the chunk,
-    into one (amplitude, probability) pair per series.  A kernel's exception
-    is raised here, after the pool has ended.
+    Each block is one task: ``draw(idx, lo, n, count)`` draws samples
+    lo:lo+n of chunk ``idx`` (of ``count``) and ``kernel(drawn)`` turns them
+    into a tuple of per-sample arrays.  Tasks run on a pool sized to the
+    usable cores, at most two blocks per worker in flight, or on the calling
+    thread as they are submitted, with no pool, if ``threads`` is false.  A
+    block's draw is freed when its kernel returns, so at most one block's
+    draw per worker is alive at once.  Results are taken in submission
+    order, and ``series`` turns the arrays, joined over the chunk, into one
+    (amplitude, probability) pair per series.  A task's exception is raised
+    here, after the pool has ended.
     """
     workers = _usable_cores()
     with ThreadPoolExecutor(workers) if threads else nullcontext() as pool:
+        submit = pool.submit if threads else _run_now
 
         def chunk(idx: int, count: int) -> list:
+            def task(lo: int) -> tuple:
+                return kernel(draw(idx, lo, min(block, count - lo), count))
+
             done, pending = [], deque()
             for lo in range(0, count, block):
-                drawn = draw(idx, lo, min(block, count - lo), count)
-                if not threads:
-                    done.append(kernel(drawn))
-                    continue
                 if len(pending) == 2 * workers:
                     done.append(pending.popleft().result())
-                pending.append(pool.submit(kernel, drawn))
+                pending.append(submit(task, lo))
             done.extend(f.result() for f in pending)
             # the blocks are freed on return, before the moments are summed
             return series(*map(np.concatenate, zip(*done)))
@@ -278,6 +283,13 @@ def _sweep(
         chunks = _iter_chunks(samples, chunk_size)
         rows = [[_moments(a, p) for a, p in chunk(idx, count)] for idx, count in chunks]
     return [_finalize(s, samples) for s in zip(*rows)]
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    """``fn(*args)`` run on the calling thread, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def _gate_draw(seed: int, noise: NoiseSpec, shape: tuple[int, ...]) -> Callable:

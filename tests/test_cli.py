@@ -160,22 +160,25 @@ def test_bad_numbers_are_usage_errors(run, argv, message):
     assert out == ""
 
 
-@pytest.mark.parametrize("family", ["single-qubit", "type2"])
-def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family):
-    """A kernel that runs out of memory on a worker thread exits 2, as a draw
-    that does not fit does."""
+@pytest.mark.parametrize("family, name", [
+    pytest.param("single-qubit", "_batched_single_qubit_out", id="single-qubit"),
+    pytest.param("type2", "fusion_type2_matrix", id="type2"),
+    pytest.param("single-qubit", "sample_deltas", id="sample_deltas"),
+])
+def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family, name):
+    """A block's draw or gate kernel that runs out of memory on a worker
+    thread exits 2 and names the point's N."""
     from uasim import montecarlo
 
-    name = "_batched_single_qubit_out" if family == "single-qubit" else "fusion_type2_matrix"
-    kernel = getattr(montecarlo, name)
+    fn = getattr(montecarlo, name)
 
-    def out_of_memory_on_noisy_gates(*args, **kwargs):
+    def out_of_memory_on_noisy_blocks(*args, **kwargs):
         # the noiseless fusion target is built on the calling thread
         if not args and kwargs.get("deltas") is None:
-            return kernel(*args, **kwargs)
+            return fn(*args, **kwargs)
         raise MemoryError
 
-    monkeypatch.setattr(montecarlo, name, out_of_memory_on_noisy_gates)
+    monkeypatch.setattr(montecarlo, name, out_of_memory_on_noisy_blocks)
     code, out, err = run(
         "mc", "--family", family, "--nu", "0.01", "--big-n", "2", "--samples", "10000",
         "--seed", "1",

@@ -19,6 +19,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -562,16 +564,19 @@ def test_a_block_draw_depends_only_on_its_position(nu, kind, shape):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+@pytest.mark.parametrize("where", ["draw", "kernel"])
+def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch, where):
+    """A draw fails on a worker as a kernel does."""
+    name = "sample_deltas" if where == "draw" else "_batched_single_qubit_out"
     calls = itertools.count()
-    kernel = montecarlo._batched_single_qubit_out
+    fn = getattr(montecarlo, name)
 
     def fails_on_the_second_block(*args):
         if next(calls) == 1:
             raise MemoryError("second block")
-        return kernel(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(montecarlo, "_batched_single_qubit_out", fails_on_the_second_block)
+    monkeypatch.setattr(montecarlo, name, fails_on_the_second_block)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="second block"):
@@ -579,16 +584,16 @@ def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
     assert threading.active_count() == before
 
 
-def test_draws_and_trees_stay_on_the_calling_thread(monkeypatch):
-    """Only gate kernels run on the pool; span tracers that wrap these names
-    keep one stack and rely on it."""
+def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
+    """Each pooled block draws on the worker that runs its kernel; the
+    end-to-end estimator draws and builds its trees on the calling thread."""
     calls = []
 
     def record(owner, name):
         fn = getattr(owner, name)
 
         def recorded(*args, **kwargs):
-            calls.append((name, threading.get_ident()))
+            calls.append((f"{owner.__name__.rpartition('.')[2]}.{name}", threading.get_ident()))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, recorded)
@@ -603,16 +608,91 @@ def test_draws_and_trees_stay_on_the_calling_thread(monkeypatch):
     ]:
         record(owner, name)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
-    estimate_fidelity(0.01, 3, 20_000, seed=1)
-    estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode")
-    estimate_end_to_end(0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140)
-
     me = threading.get_ident()
-    kernels = {"_batched_single_qubit_out", "four_mode_matrix"}
-    assert {name for name, _ in calls} == kernels | {"sample_deltas", "build_tree", "success_branch"}
-    assert all(ident == me for name, ident in calls if name not in kernels)
-    # the kernels did run on the pool, so the check above can see a worker
-    assert all(ident != me for name, ident in calls if name in kernels)
+
+    # 5 blocks each: 4 x 4096 + 3616 samples, and 4 x 1024 + 904
+    for run, kernel in [
+        (lambda: estimate_fidelity(0.01, 3, 20_000, seed=1), "_batched_single_qubit_out"),
+        (lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), "four_mode_matrix"),
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == 10
+        assert all(ident != me for _, ident in calls)
+        # a task is not interleaved on its thread, so each thread's calls
+        # alternate a block's draw and that block's kernel
+        for ident in {ident for _, ident in calls}:
+            names = [name for name, i in calls if i == ident]
+            assert names == ["montecarlo.sample_deltas", f"montecarlo.{kernel}"] * (len(names) // 2)
+
+    calls.clear()
+    estimate_end_to_end(0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140)
+    assert {name for name, _ in calls} == {
+        "montecarlo.sample_deltas", "averaging.sample_deltas",
+        "montecarlo.build_tree", "montecarlo.success_branch",
+    }
+    assert all(ident == me for _, ident in calls)
+
+
+def test_blocks_that_finish_out_of_order_keep_the_bits(monkeypatch):
+    """The first block's draw sleeps, so later blocks finish first."""
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    runs = [
+        # 3 chunks, each ending in a partial block: 4096 + 404, twice, then 3000
+        lambda: estimate_fidelity(0.01, 3, 12_000, seed=2, chunk_size=4500),
+        lambda: estimate_fusion(0.01, 2, 5000, seed=2),
+    ]
+    undelayed = [run() for run in runs]
+    draw = montecarlo.sample_deltas
+    for run, want in zip(runs, undelayed):
+        calls, returned = itertools.count(), []
+
+        def first_draw_sleeps(*args):
+            i = next(calls)
+            if i == 0:
+                time.sleep(0.05)
+            out = draw(*args)
+            returned.append(i)
+            return out
+
+        monkeypatch.setattr(montecarlo, "sample_deltas", first_draw_sleeps)
+        assert run() == want
+        assert returned[0] != 0
+
+
+def test_at_most_one_block_of_offsets_per_worker_is_alive(monkeypatch):
+    lock = threading.RLock()
+    alive = peak = draws = 0
+    draw = montecarlo.sample_deltas
+    kernel = montecarlo._batched_single_qubit_out
+
+    def released():
+        nonlocal alive
+        with lock:
+            alive -= 1
+
+    def counted(*args):
+        nonlocal alive, peak, draws
+        out = draw(*args)
+        with lock:
+            alive += 1
+            draws += 1
+            peak = max(peak, alive)
+        weakref.finalize(out, released)
+        return out
+
+    def slow_kernel(*args):
+        # blocks would pile up here if anything drew ahead of the kernels
+        time.sleep(0.01)
+        return kernel(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_deltas", counted)
+    monkeypatch.setattr(montecarlo, "_batched_single_qubit_out", slow_kernel)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    estimate_fidelity(0.01, 2, 10 * 4096, seed=1)  # one chunk of 10 blocks
+    assert draws == 10
+    assert 1 <= peak <= 3
+    assert alive == 0
 
 
 # estimate_end_to_end(0.01, 4, 4096, seed=7) as printed by the per-sample
