@@ -6,6 +6,11 @@ input-output path crosses exactly three of those parameters, which is what
 makes the first-order noise laws path-uniform.  The two-qubit networks built
 here (Type-II fusion and the general four-mode gate) keep the same property
 with per-path parameter counts 2 and 6.
+
+Every builder is batched (the scalar gate is the empty batch) and writes each
+matrix entry from its parameters in elementwise arithmetic, with no matrix
+product: the single-qubit and Type-II entries by hand, and each four-mode
+entry as the product along its one path through the two block layers.
 """
 
 from __future__ import annotations
@@ -219,6 +224,16 @@ def fusion_type2_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     return m
 
 
+# Each entry (i, j) of the four-mode matrix lies on one path: output i leaves
+# one entry of C or D and input j enters one entry of A or B.  With blocks
+# A..D flattened to 16 entries (4 * block + 2 * row + col), the post factor
+# of (i, j) depends on (i, j // 2) and the pre factor on (i // 2, j); the
+# shapes (2, 2, 2, 1) and (2, 1, 2, 2) broadcast them to (i // 2, i % 2,
+# j // 2, j % 2).
+_POST = np.array([8, 9, 10, 11, 13, 12, 15, 14]).reshape(2, 2, 2, 1)
+_PRE = np.array([0, 1, 6, 7, 2, 3, 4, 5]).reshape(2, 1, 2, 2)
+
+
 def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     """Matrix of the general four-mode gate: two layers of single-qubit blocks
     around the 2<->4 swap.
@@ -230,18 +245,23 @@ def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     zero-phase splitter, where the matrix equals the Type-II network exactly.
     ``deltas`` of shape (..., 4, 5) offsets the five parameters of blocks A..D
     and gives the stack of noisy matrices, shape deltas.shape[:-2] + (4, 4).
+
+    Because of the swap, each input-output pair is joined by one path, so
+    every entry of the layer product is a single product of a post-layer and
+    a pre-layer entry.  It is formed in real arithmetic, (pr*qr - pi*qi) +
+    i(pr*qi + pi*qr) with no fused multiply-add, which gives the bits of the
+    zero-padded layers' BLAS product (zgemm) on every OpenBLAS core and numpy
+    dispatch level tested; the ``+ 0.0`` makes every zero +0.0, as that
+    product's are.
     """
     if deltas is None:
         deltas = np.zeros((4, 5))
     lead = deltas.shape[:-2]
     d = deltas if lead else deltas[None]  # one batch axis, as in single_qubit_matrix
-    blocks = [single_qubit_matrix(_NAMED["H"], d[..., i, :]) for i in range(4)]
-    # swap of modes 2 and 4 == reordering the pre-layer rows (0, 3, 2, 1), so
-    # A's rows land on rows 0 and 3 and B's on rows 2 and 1
-    pre = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
-    pre[..., (0, 3), 0:2] = blocks[0]
-    pre[..., (2, 1), 2:4] = blocks[1]
-    post = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
-    post[..., 0:2, 0:2] = blocks[2]
-    post[..., 2:4, 2:4] = blocks[3]
-    return (post @ pre).reshape(lead + (4, 4))
+    blocks = single_qubit_matrix(_NAMED["H"], d).reshape(d.shape[:-2] + (16,))
+    p, q = blocks[..., _POST], blocks[..., _PRE]
+    m = np.empty(d.shape[:-2] + (2, 2, 2, 2), dtype=complex)
+    np.subtract(p.real * q.real, p.imag * q.imag, out=m.real)
+    np.add(p.real * q.imag, p.imag * q.real, out=m.imag)
+    m += 0.0
+    return m.reshape(lead + (4, 4))

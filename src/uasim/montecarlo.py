@@ -261,7 +261,8 @@ def _sweep(
     draw per worker is alive at once.  Results are taken in submission
     order, and ``series`` turns the arrays, joined over the chunk, into one
     (amplitude, probability) pair per series.  A task's exception is raised
-    here, after the pool has ended.
+    here, after the pool has ended; the blocks still queued behind it are
+    cancelled, not run.
     """
     workers = _usable_cores()
     with ThreadPoolExecutor(workers) if threads else nullcontext() as pool:
@@ -281,7 +282,12 @@ def _sweep(
             return series(*map(np.concatenate, zip(*done)))
 
         chunks = _iter_chunks(samples, chunk_size)
-        rows = [[_moments(a, p) for a, p in chunk(idx, count)] for idx, count in chunks]
+        try:
+            rows = [[_moments(a, p) for a, p in chunk(idx, count)] for idx, count in chunks]
+        except BaseException:
+            if threads:
+                pool.shutdown(cancel_futures=True)
+            raise
     return [_finalize(s, samples) for s in zip(*rows)]
 
 

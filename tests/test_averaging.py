@@ -571,8 +571,9 @@ def test_only_what_is_read_is_contracted(monkeypatch):
     assert calls == [(0, 2, 2), (0, 8, 8)]
 
 
-# A restricted product must round like the whole one under every OpenBLAS
-# kernel set, not only the one this host picks.  The child reads the core it
+# A restricted product must round like the whole one, and the four-mode gate's
+# one-path products like the padded layer product, under every OpenBLAS kernel
+# set, not only the one this host picks.  The child reads the core it
 # got through ctypes and fails, never skips, when the forced core is not the
 # one in use; OpenBLAS reports its Prescott kernels under the name Katmai.
 CORE_CHILD = """
@@ -598,7 +599,7 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
 
 
 @pytest.mark.parametrize("core", ["default", "Haswell", "Prescott"])
-def test_tree_bits_hold_under_each_openblas_core(core):
+def test_tree_and_four_mode_bits_hold_under_each_openblas_core(core):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     if core != "default":
         env["OPENBLAS_CORETYPE"] = core
@@ -608,6 +609,7 @@ def test_tree_bits_hold_under_each_openblas_core(core):
     checks = [
         "test_averaging.py::test_every_branch_is_its_matrix_slice_bit_for_bit",
         "test_montecarlo.py::test_end_to_end_equals_one_tree_per_sample_bit_for_bit",
+        "test_gates.py::test_four_mode_gate_has_the_bits_of_its_layer_product",
     ]
     proc = subprocess.run(
         [sys.executable, "-c", CORE_CHILD, core, *(f"{tests}/{c}" for c in checks)],

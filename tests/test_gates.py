@@ -198,6 +198,43 @@ def test_four_mode_gate_is_unitary_for_random_blocks():
         np.testing.assert_allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
 
 
+def _four_mode_by_layers(deltas):
+    """The four-mode gate as the product of its zero-padded block layers."""
+    d = deltas if deltas.shape[:-2] else deltas[None]
+    blocks = [single_qubit_matrix(named_gate("H"), d[..., i, :]) for i in range(4)]
+    pre = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
+    pre[..., (0, 3), 0:2] = blocks[0]  # the 2<->4 swap moves A's second row to mode 4
+    pre[..., (2, 1), 2:4] = blocks[1]  # and B's second row to mode 2
+    post = np.zeros(d.shape[:-2] + (4, 4), dtype=complex)
+    post[..., 0:2, 0:2] = blocks[2]
+    post[..., 2:4, 2:4] = blocks[3]
+    return (post @ pre).reshape(deltas.shape[:-2] + (4, 4))
+
+
+def _four_mode_offsets():
+    rng = np.random.default_rng(41)
+    for lead in ((), (3,), (2, 3)):
+        shape = lead + (4, 5)
+        yield np.zeros(shape)
+        for k in range(20):  # one nonzero offset, in each of the twenty places
+            one = np.zeros(shape)
+            one[..., k // 5, k % 5] = rng.uniform(-3, 3, lead)
+            yield one
+        for scale in (1e-8, 1e-4, 1e-2, 1.0, 3.0):
+            yield np.where(rng.random(shape) < 0.2, rng.uniform(-scale, scale, shape), 0.0)
+        for _ in range(5):
+            yield rng.normal(0.0, 0.1, shape)
+
+
+def test_four_mode_gate_has_the_bits_of_its_layer_product():
+    """Each one-path entry has the padded BLAS product's bytes, zero signs too."""
+    for deltas in _four_mode_offsets():
+        want = _four_mode_by_layers(deltas)
+        got = four_mode_matrix(deltas)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_path_parameter_counts():
     assert GATE_DEPTHS == {"single-qubit": 3, "four-mode": 6, "type2": 2}
 

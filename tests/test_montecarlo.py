@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +583,43 @@ def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
     with pytest.raises(MemoryError, match="second block"):
         estimate_fidelity(0.01, 2, 20_000, seed=1)
     assert threading.active_count() == before
+
+
+def test_a_failing_block_cancels_the_blocks_queued_behind_it(monkeypatch):
+    """With 2 workers the caller holds 4 blocks when block 0's error reaches
+    it.  Every other draw waits until a queued block has been cancelled, so
+    each worker holds at most one block while the caller cancels: the other
+    worker's, and the one the failed worker may take before the cancel.  The
+    fourth is never drawn."""
+    drawn, cancelled = [], threading.Event()
+    make_draw = montecarlo._gate_draw
+
+    def gated_draw(*spec):
+        draw = make_draw(*spec)
+
+        def gated(idx, lo, n, count):
+            drawn.append(lo)
+            if lo == 0:
+                raise MemoryError("first block")
+            cancelled.wait(timeout=5.0)
+            return draw(idx, lo, n, count)
+
+        return gated
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args):
+            future = super().submit(*args)
+            future.add_done_callback(lambda f: f.cancelled() and cancelled.set())
+            return future
+
+    monkeypatch.setattr(montecarlo, "_gate_draw", gated_draw)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    samples = 20 * montecarlo._SAMPLES_PER_BLOCK  # one chunk of 20 blocks
+    with pytest.raises(MemoryError, match="first block"):
+        estimate_fidelity(0.01, 2, samples, seed=1, chunk_size=samples)
+    assert cancelled.is_set()
+    assert len(drawn) <= 3, drawn
 
 
 def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
