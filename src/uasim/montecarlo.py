@@ -16,10 +16,10 @@ the values a whole-chunk draw gives the block's samples.  The splitter stream
 of ``estimate_end_to_end`` holds a chunk's encoder offsets, then its decoder
 offsets, so a block's decoder offsets start at (count + lo) * k.
 
-``estimate_fidelity`` and ``estimate_fusion`` run each block as one task on
-a thread pool, which draws the block's offsets and then runs its gate
-kernel; the calling thread only collects the results in block order.
-``estimate_end_to_end`` runs one block per chunk on the calling thread.
+Each estimator's block function draws a block's offsets, then runs its gate
+kernel.  ``estimate_fidelity`` and ``estimate_fusion`` map a chunk's blocks in
+order with ``Executor.map`` on a thread pool; ``estimate_end_to_end`` maps its
+one block per chunk with builtin ``map`` on the calling thread.
 Neither the block size nor the thread count moves a bit: a block's draw
 depends only on its position, every kernel step acts on each sample alone,
 and the moment sums, whose pairwise summation rounds by array length, see
@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -247,59 +247,37 @@ def _usable_cores() -> int:
 
 
 def _sweep(
-    samples: int, chunk_size: int, block: int, draw: Callable, kernel: Callable,
+    samples: int, chunk_size: int, block: int, run_block: Callable,
     series: Callable = lambda a, p: [(a, p)], *, threads: bool = True,
 ) -> list[GateRunResult]:
     """Run every chunk as blocks of at most ``block`` samples; finalize each series.
 
-    Each block is one task: ``draw(idx, lo, n, count)`` draws samples
-    lo:lo+n of chunk ``idx`` (of ``count``) and ``kernel(drawn)`` turns them
-    into a tuple of per-sample arrays.  Tasks run on a pool sized to the
-    usable cores, at most two blocks per worker in flight, or on the calling
-    thread as they are submitted, with no pool, if ``threads`` is false.  A
-    block's draw is freed when its kernel returns, so at most one block's
-    draw per worker is alive at once.  Results are taken in submission
-    order, and ``series`` turns the arrays, joined over the chunk, into one
-    (amplitude, probability) pair per series.  A task's exception is raised
-    here, after the pool has ended; the blocks still queued behind it are
+    ``run_block(idx, lo, n, count)`` draws samples lo:lo+n of chunk ``idx``
+    (of ``count``) and returns a tuple of per-sample arrays.  A chunk's
+    blocks are mapped in order: with ``Executor.map`` on a pool sized to the
+    usable cores, or with builtin ``map`` on the calling thread if
+    ``threads`` is false.  Each block's draw lives only inside its call, so
+    at most one block's draw per worker is alive at once.  Results come in
+    block order, and ``series`` turns the arrays, joined over the chunk, into
+    one (amplitude, probability) pair per series.  A block's exception is
+    raised here, after the pool has ended; the blocks queued behind it are
     cancelled, not run.
     """
-    workers = _usable_cores()
-    with ThreadPoolExecutor(workers) if threads else nullcontext() as pool:
-        submit = pool.submit if threads else _run_now
-
-        def chunk(idx: int, count: int) -> list:
-            def task(lo: int) -> tuple:
-                return kernel(draw(idx, lo, min(block, count - lo), count))
-
-            done, pending = [], deque()
-            for lo in range(0, count, block):
-                if len(pending) == 2 * workers:
-                    done.append(pending.popleft().result())
-                pending.append(submit(task, lo))
-            done.extend(f.result() for f in pending)
-            # the blocks are freed on return, before the moments are summed
-            return series(*map(np.concatenate, zip(*done)))
-
-        chunks = _iter_chunks(samples, chunk_size)
-        try:
-            rows = [[_moments(a, p) for a, p in chunk(idx, count)] for idx, count in chunks]
-        except BaseException:
-            if threads:
-                pool.shutdown(cancel_futures=True)
-            raise
+    with ThreadPoolExecutor(_usable_cores()) if threads else nullcontext() as pool:
+        run = pool.map if threads else map
+        rows = []
+        for idx, count in _iter_chunks(samples, chunk_size):
+            starts = range(0, count, block)
+            sizes = [min(block, count - lo) for lo in starts]
+            blocks = run(partial(run_block, idx, count=count), starts, sizes)
+            # the blocks are freed once joined, before the moments are summed
+            joined = series(*map(np.concatenate, zip(*blocks)))
+            rows.append([_moments(a, p) for a, p in joined])
     return [_finalize(s, samples) for s in zip(*rows)]
 
 
-def _run_now(fn: Callable, *args) -> Future:
-    """``fn(*args)`` run on the calling thread, as a finished future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
 def _gate_draw(seed: int, noise: NoiseSpec, shape: tuple[int, ...]) -> Callable:
-    """A ``_sweep`` draw of gate offsets, (n, *shape) per block."""
+    """A block's draw of gate offsets, (n, *shape) for samples lo:lo+n of chunk ``idx``."""
     per_sample = math.prod(shape)
 
     def draw(idx: int, lo: int, n: int, count: int) -> np.ndarray:
@@ -375,15 +353,15 @@ def estimate_fidelity(
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
 
-    def kernel(deltas: np.ndarray):
-        out0, out1 = _batched_single_qubit_out(base, deltas, psi)
+    def run_block(idx: int, lo: int, n: int, count: int):
+        out0, out1 = _batched_single_qubit_out(base, draw(idx, lo, n, count), psi)
         m0 = out0.mean(axis=1)
         m1 = out1.mean(axis=1)
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
         return a, np.abs(m0) ** 2 + np.abs(m1) ** 2
 
     draw = _gate_draw(seed, noise, (num_copies, 5))
-    return _sweep(samples, chunk_size, _SAMPLES_PER_BLOCK, draw, kernel)[0]
+    return _sweep(samples, chunk_size, _SAMPLES_PER_BLOCK, run_block)[0]
 
 
 def estimate_end_to_end(
@@ -419,23 +397,19 @@ def estimate_end_to_end(
         n_deltas = num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
     gate_draw = _gate_draw(seed, noise, (num_copies, 5))
 
-    def draw(idx: int, lo: int, n: int, count: int):
+    def run_block(idx: int, lo: int, n: int, count: int):
         # the offsets are freed as soon as the gates are built
         gates_mat = single_qubit_matrix(base, gate_draw(idx, lo, n, count))
-        if not n_deltas:
-            return gates_mat, None, None
-        # a chunk's decoder offsets follow all its encoder offsets
-        srng = _block_rng(seed, _STREAM_SPLITTERS, idx, lo * n_deltas)
-        enc = encoder_noise.draw((n, n_deltas), srng)
-        srng.bit_generator.advance((count - n) * n_deltas)
-        return gates_mat, enc, encoder_noise.draw((n, n_deltas), srng)
-
-    def kernel(drawn):
-        gates_mat, enc, dec = drawn
-        amps = np.empty(len(gates_mat), dtype=complex)
-        probs = np.empty(len(gates_mat))
-        for lo in range(0, len(gates_mat), _TREES_PER_SLICE):
-            part = slice(lo, lo + _TREES_PER_SLICE)
+        if n_deltas:
+            # a chunk's decoder offsets follow all its encoder offsets
+            srng = _block_rng(seed, _STREAM_SPLITTERS, idx, lo * n_deltas)
+            enc = encoder_noise.draw((n, n_deltas), srng)
+            srng.bit_generator.advance((count - n) * n_deltas)
+            dec = encoder_noise.draw((n, n_deltas), srng)
+        amps = np.empty(n, dtype=complex)
+        probs = np.empty(n)
+        for start in range(0, n, _TREES_PER_SLICE):
+            part = slice(start, start + _TREES_PER_SLICE)
             circ = build_tree(
                 gates_mat[part],
                 encoder_deltas=enc[part] if n_deltas else None,
@@ -447,9 +421,10 @@ def estimate_end_to_end(
             probs[part] = (np.conj(out)[:, None, :] @ out[:, :, None])[:, 0, 0].real
         return amps, probs
 
-    # One block per chunk, run on the calling thread: ``build_tree`` holds the
-    # GIL on small arrays, and smaller blocks only add generators and calls.
-    return _sweep(samples, chunk_size, chunk_size, draw, kernel, threads=False)[0]
+    # One block per chunk, on the calling thread: tree-e2e passes (2 shared
+    # cores) took 0.031-0.035 s so, 0.051-0.062 s with 128-tree blocks as pool
+    # tasks and 0.034-0.040 s with one pool task per chunk.
+    return _sweep(samples, chunk_size, chunk_size, run_block, threads=False)[0]
 
 
 def estimate_fusion(
@@ -493,8 +468,8 @@ def estimate_fusion(
     else:
         shape, build = (num_copies, 4, 5), four_mode_matrix
 
-    def kernel(deltas: np.ndarray):
-        avg = build(deltas=deltas).mean(axis=1)
+    def run_block(idx: int, lo: int, n: int, count: int):
+        avg = build(deltas=draw(idx, lo, n, count)).mean(axis=1)
         out1 = avg @ psi
         s_out = evolve_pair(avg, s_in)
         return (
@@ -515,7 +490,7 @@ def estimate_fusion(
 
     draw = _gate_draw(seed, noise, shape)
     return FusionRunResult(
-        *_sweep(samples, chunk_size, _FUSION_SAMPLES_PER_BLOCK, draw, kernel, series)
+        *_sweep(samples, chunk_size, _FUSION_SAMPLES_PER_BLOCK, run_block, series)
     )
 
 

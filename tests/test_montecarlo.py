@@ -480,14 +480,28 @@ def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
 
 
 SPIN_CHILD = """
+import sys
 import time
 from uasim.montecarlo import estimate_fusion
 
-for layout in ("type2", "four-mode"):
-    estimate_fusion(0.01, 2, 16384, seed=1, layout=layout)
+
+def cpu_during_sleep():
     cpu = time.process_time()
     time.sleep(0.05)
-    spent = time.process_time() - cpu
+    return time.process_time() - cpu
+
+
+# OpenBLAS's helper threads spin for up to about 0.1 s after numpy is
+# imported; wait for them, so that only the estimator's spin is measured.
+for _ in range(40):
+    if cpu_during_sleep() < 0.001:
+        break
+else:
+    sys.exit("the host never settled: every 50 ms sleep cost 1 ms of CPU or more")
+
+for layout in ("type2", "four-mode"):
+    estimate_fusion(0.01, 2, 16384, seed=1, layout=layout)
+    spent = cpu_during_sleep()
     assert spent < 0.01, f"{layout}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep"
 """
 
@@ -565,32 +579,47 @@ def test_a_block_draw_depends_only_on_its_position(nu, kind, shape):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("where", ["draw", "kernel"])
-def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch, where):
-    """A draw fails on a worker as a kernel does."""
-    name = "sample_deltas" if where == "draw" else "_batched_single_qubit_out"
+@pytest.mark.parametrize(
+    "name, run, total",
+    [
+        ("sample_deltas", lambda: estimate_fidelity(0.01, 2, 20_000, seed=1), None),
+        ("_batched_single_qubit_out", lambda: estimate_fidelity(0.01, 2, 20_000, seed=1), None),
+        ("four_mode_matrix",
+         lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), None),
+        # slices of 128 and 12 trees in the first of three 140-sample chunks
+        ("build_tree", lambda: estimate_end_to_end(0.01, 4, 300, seed=1, chunk_size=140), 2),
+    ],
+    ids=["draw", "kernel", "fusion", "end-to-end"],
+)
+def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(
+    monkeypatch, name, run, total
+):
+    """A draw fails on a worker as a kernel does.  On the calling thread,
+    where ``total`` is given, nothing is called after the failing call."""
     calls = itertools.count()
     fn = getattr(montecarlo, name)
 
-    def fails_on_the_second_block(*args):
+    def fails_on_the_second_call(*args, **kwargs):
         if next(calls) == 1:
-            raise MemoryError("second block")
-        return fn(*args)
+            raise MemoryError("second call")
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, name, fails_on_the_second_block)
+    monkeypatch.setattr(montecarlo, name, fails_on_the_second_call)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
     before = threading.active_count()
-    with pytest.raises(MemoryError, match="second block"):
-        estimate_fidelity(0.01, 2, 20_000, seed=1)
+    with pytest.raises(MemoryError, match="second call"):
+        run()
     assert threading.active_count() == before
+    if total is not None:
+        assert next(calls) == total
 
 
 def test_a_failing_block_cancels_the_blocks_queued_behind_it(monkeypatch):
-    """With 2 workers the caller holds 4 blocks when block 0's error reaches
-    it.  Every other draw waits until a queued block has been cancelled, so
-    each worker holds at most one block while the caller cancels: the other
-    worker's, and the one the failed worker may take before the cancel.  The
-    fourth is never drawn."""
+    """With 2 workers, ``Executor.map`` has queued all 20 blocks when block
+    0's error reaches the caller.  Every other draw waits until a queued
+    block has been cancelled, so each worker holds at most one block while
+    the caller cancels: the other worker's, and the one the failed worker
+    may take before the cancel.  No fourth block is drawn."""
     drawn, cancelled = [], threading.Event()
     make_draw = montecarlo._gate_draw
 
