@@ -128,8 +128,8 @@ class NoiseSpec:
         ``gaussian``     N(0, variance); fourth moment 3 nu^2.
         ``uniform``      uniform on [-sqrt(3 nu), +sqrt(3 nu)] (matched variance).
         ``four-moment``  symmetric three-point distribution hitting a prescribed
-                         fourth moment m4 >= nu^2 (m4 = nu^2 gives the two-point
-                         +/- sqrt(nu) distribution).
+                         fourth moment m4 >= nu^2; by default m4 = nu^2, the
+                         two-point +/- sqrt(nu) law that Type-II fusion assumes.
     """
 
     variance: float
@@ -142,9 +142,11 @@ class NoiseSpec:
         if self.kind not in ("gaussian", "uniform", "four-moment"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "four-moment":
+            # the rounded square, which pow (``**``) can miss by an ulp
+            nu2 = self.variance * self.variance
             if self.fourth_moment is None:
-                raise ValueError("four-moment noise needs an explicit fourth_moment")
-            if self.variance > 0 and self.fourth_moment < self.variance**2:
+                object.__setattr__(self, "fourth_moment", nu2)
+            if self.variance > 0 and self.fourth_moment < nu2:
                 raise ValueError("fourth moment must be >= variance^2")
 
 

@@ -17,9 +17,9 @@ of ``estimate_end_to_end`` holds a chunk's encoder offsets, then its decoder
 offsets, so a block's decoder offsets start at (count + lo) * k.
 
 Each estimator's block function draws a block's offsets, then runs its gate
-kernel.  ``estimate_fidelity`` and ``estimate_fusion`` map a chunk's blocks in
-order with ``Executor.map`` on a thread pool; ``estimate_end_to_end`` maps its
-one block per chunk with builtin ``map`` on the calling thread.
+kernel.  A chunk's blocks are mapped in order with ``Executor.map`` on a
+thread pool, or with builtin ``map`` on the calling thread if every chunk
+holds one block, as every chunk of ``estimate_end_to_end`` does.
 Neither the block size nor the thread count moves a bit: a block's draw
 depends only on its position, every kernel step acts on each sample alone,
 and the moment sums, whose pairwise summation rounds by array length, see
@@ -76,6 +76,7 @@ from .formulas import (
     success_prob_single,
 )
 from .gates import (
+    GATE_DEPTHS,
     GateParams,
     NoiseSpec,
     _expi,
@@ -248,21 +249,22 @@ def _usable_cores() -> int:
 
 def _sweep(
     samples: int, chunk_size: int, block: int, run_block: Callable,
-    series: Callable = lambda a, p: [(a, p)], *, threads: bool = True,
+    series: Callable = lambda a, p: [(a, p)],
 ) -> list[GateRunResult]:
     """Run every chunk as blocks of at most ``block`` samples; finalize each series.
 
     ``run_block(idx, lo, n, count)`` draws samples lo:lo+n of chunk ``idx``
     (of ``count``) and returns a tuple of per-sample arrays.  A chunk's
     blocks are mapped in order: with ``Executor.map`` on a pool sized to the
-    usable cores, or with builtin ``map`` on the calling thread if
-    ``threads`` is false.  Each block's draw lives only inside its call, so
-    at most one block's draw per worker is alive at once.  Results come in
-    block order, and ``series`` turns the arrays, joined over the chunk, into
-    one (amplitude, probability) pair per series.  A block's exception is
-    raised here, after the pool has ended; the blocks queued behind it are
-    cancelled, not run.
+    usable cores, or with builtin ``map`` on the calling thread if every
+    chunk holds one block, which has nothing to run beside it.  Each block's
+    draw lives only inside its call, so at most one block's draw per worker
+    is alive at once.  Results come in block order, and ``series`` turns the
+    arrays, joined over the chunk, into one (amplitude, probability) pair per
+    series.  A block's exception is raised here, after the pool has ended;
+    the blocks queued behind it are cancelled, not run.
     """
+    threads = min(samples, chunk_size) > block
     with ThreadPoolExecutor(_usable_cores()) if threads else nullcontext() as pool:
         run = pool.map if threads else map
         rows = []
@@ -308,12 +310,6 @@ def _batched_single_qubit_out(
     return out0, out1
 
 
-def _noise_spec(nu: float, kind: str, fourth_moment: float | None) -> NoiseSpec:
-    if kind == "four-moment" and fourth_moment is None:
-        fourth_moment = nu * nu  # the two-point distribution +/- sqrt(nu)
-    return NoiseSpec(nu, kind, fourth_moment)
-
-
 def _unit_vector(input_state: Sequence[complex], dim: int) -> np.ndarray:
     psi = np.asarray(input_state, dtype=complex)
     if psi.shape != (dim,):
@@ -338,7 +334,6 @@ def estimate_fidelity(
     gate: GateParams | None = None,
     input_state: Sequence[complex] = (1.0, 0.0),
     kind: str = "gaussian",
-    fourth_moment: float | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> GateRunResult:
     """Success probability and conditional fidelity of the averaged gate.
@@ -349,7 +344,7 @@ def estimate_fidelity(
     if num_copies < 1:
         raise ValueError("num_copies must be at least 1")
     base = gate if gate is not None else named_gate("I")
-    noise = _noise_spec(nu, kind, fourth_moment)
+    noise = NoiseSpec(nu, kind)
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
 
@@ -374,7 +369,6 @@ def estimate_end_to_end(
     input_state: Sequence[complex] = (1.0, 0.0),
     encoder_noise: EncoderNoise | None = None,
     kind: str = "gaussian",
-    fourth_moment: float | None = None,
     chunk_size: int = 4096,
 ) -> GateRunResult:
     """Success probability and fidelity through the assembled splitter tree.
@@ -389,7 +383,7 @@ def estimate_end_to_end(
     if num_copies < 1 or num_copies & (num_copies - 1):
         raise ValueError("num_copies must be a power of two")
     base = gate if gate is not None else named_gate("I")
-    noise = _noise_spec(nu, kind, fourth_moment)
+    noise = NoiseSpec(nu, kind)
     psi = _unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
     n_deltas = 0
@@ -421,10 +415,10 @@ def estimate_end_to_end(
             probs[part] = (np.conj(out)[:, None, :] @ out[:, :, None])[:, 0, 0].real
         return amps, probs
 
-    # One block per chunk, on the calling thread: tree-e2e passes (2 shared
+    # One block per chunk, so on the calling thread: tree-e2e passes (2 shared
     # cores) took 0.031-0.035 s so, 0.051-0.062 s with 128-tree blocks as pool
     # tasks and 0.034-0.040 s with one pool task per chunk.
-    return _sweep(samples, chunk_size, chunk_size, run_block, threads=False)[0]
+    return _sweep(samples, chunk_size, chunk_size, run_block)[0]
 
 
 def estimate_fusion(
@@ -435,7 +429,6 @@ def estimate_fusion(
     seed: int,
     layout: str = "type2",
     kind: str | None = None,
-    fourth_moment: float | None = None,
     single_photon_mode: int = 0,
     photon_pair: tuple[int, int] = (0, 2),
     chunk_size: int = 16384,
@@ -455,7 +448,7 @@ def estimate_fusion(
         raise ValueError(f"mode index out of range in {single_photon_mode=}")
     if kind is None:
         kind = "four-moment" if layout == "type2" else "gaussian"
-    noise = _noise_spec(nu, kind, fourth_moment)
+    noise = NoiseSpec(nu, kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[single_photon_mode] = 1.0
@@ -509,13 +502,14 @@ def discriminate(points: Sequence[dict]) -> dict:
     """
     if len(points) < 3:
         raise ValueError("need at least three grid points")
+    depth = GATE_DEPTHS["single-qubit"]
     rows = []
     for pt in points:
         nu = float(pt["nu"])
         big_n = float(pt["num_copies"])
         if nu <= 0 or pt["stderr"] <= 0:
             raise ValueError("grid points need nu > 0 and stderr > 0")
-        resid = (pt["mean"] - success_prob_first_order(3.0 * nu, big_n)) / nu**2
+        resid = (pt["mean"] - success_prob_first_order(depth * nu, big_n)) / nu**2
         sigma = pt["stderr"] / nu**2
         rows.append((nu, big_n, resid, sigma))
 
@@ -529,7 +523,7 @@ def discriminate(points: Sequence[dict]) -> dict:
     for variant in SINGLE_QUBIT_VARIANTS:
         total = 0.0
         for nu, big_n, r, sigma in rows:
-            first = success_prob_first_order(3.0 * nu, big_n)
+            first = success_prob_first_order(depth * nu, big_n)
             predicted = (success_prob_single(nu, big_n, variant) - first) / nu**2
             total += ((r - predicted) / sigma) ** 2
         chisq[variant] = total

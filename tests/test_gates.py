@@ -91,8 +91,6 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(0.1, kind="cauchy")
     with pytest.raises(ValueError):
-        NoiseSpec(0.1, kind="four-moment")
-    with pytest.raises(ValueError):
         NoiseSpec(0.1, "four-moment", 0.001)  # m4 below variance^2
 
 
@@ -124,6 +122,18 @@ def test_sampled_moments(noise, m4_expected):
     assert abs(d.mean()) < 5 * math.sqrt(nu / n)
     assert np.mean(d**2) == pytest.approx(nu, rel=0.01)
     assert np.mean(d**4) == pytest.approx(m4_expected, rel=0.05)
+
+
+# 0.01 ** 2 == 0.01 * 0.01, but 0.42672114373024106 ** 2 is an ulp above the
+# product and 0.029724695889211672 ** 2 an ulp below it.
+@pytest.mark.parametrize("nu", [0.01, 0.42672114373024106, 0.029724695889211672])
+def test_four_moment_defaults_to_the_two_point_law(nu):
+    noise = NoiseSpec(nu, "four-moment")
+    assert noise == NoiseSpec(nu, "four-moment", nu * nu)
+    d = sample_deltas(noise, (4096,), np.random.default_rng(5))
+    assert set(np.unique(d)) == {-math.sqrt(nu), math.sqrt(nu)}
+    with pytest.raises(ValueError, match="fourth moment"):
+        NoiseSpec(nu, "four-moment", np.nextafter(nu * nu, 0.0))
 
 
 def test_two_point_distribution_is_pure_sign_flip():
@@ -281,22 +291,52 @@ def test_scalar_builder_is_the_zero_delta_batch_bit_for_bit(family):
                     assert np.array_equal(stack[idx], build(offsets[idx]))
 
 
-# ``_expi`` stands in for ``np.exp(1j * x)`` in every gate kernel, so its bytes
-# must equal it under numpy's fastest loops and with every dispatched SIMD
-# target switched off.  The child fails, never skips, where the targets cannot
-# be listed or switched off.
-EXPI_CHILD = """
-import math, sys
+def _dispatch_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+# Every child first checks that its dispatch targets are off when asked: it
+# fails, never skips, where the targets cannot be listed or switched off.
+CHILD_PRELUDE = """
+import sys
 import numpy as np
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-from uasim.gates import _expi
 
 if sys.argv[1] == "none":
     on = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
     assert not on, f"dispatch targets still enabled: {on}"
+"""
+
+
+def _run_child(code: str, dispatch: str) -> subprocess.CompletedProcess:
+    """Run ``code`` after ``CHILD_PRELUDE`` in a fresh interpreter on this
+    tree's uasim, at numpy's default dispatch or with every target off."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if dispatch == "none":
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_dispatch_targets())
+    src = str(Path(uasim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_PRELUDE + code, dispatch], env=env, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+# ``_expi`` stands in for ``np.exp(1j * x)`` in every gate kernel, so its bytes
+# must equal it under numpy's fastest loops and with every dispatched SIMD
+# target switched off.
+EXPI_CHILD = """
+import math
+from uasim.gates import _expi
+
 rng = np.random.default_rng(2024)
 x = np.concatenate(
     [rng.uniform(-10.0, 10.0, 200_000)]
@@ -307,22 +347,24 @@ assert _expi(x).tobytes() == np.exp(1j * x).tobytes()
 """
 
 
-def _dispatch_targets() -> list[str]:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__
-    return list(__cpu_dispatch__)
-
-
 @pytest.mark.parametrize("dispatch", ["default", "none"])
 def test_expi_equals_complex_exp_on_every_dispatch_target(dispatch):
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    if dispatch == "none":
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_dispatch_targets())
-    src = str(Path(uasim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", EXPI_CHILD, dispatch], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_child(EXPI_CHILD, dispatch)
+
+
+# The Type-II builder is real arithmetic only, so its bytes must not depend on
+# which SIMD loops numpy dispatches to.  (The single-qubit and four-mode
+# builders' complex products do round differently with every target off.)
+TYPE2_CHILD = """
+from uasim.gates import fusion_type2_matrix
+
+rng = np.random.default_rng(2025)
+deltas = np.concatenate([rng.normal(0.0, 0.1, (4096, 3, 4)), rng.uniform(-4.0, 4.0, (4096, 3, 4))])
+sys.stdout.buffer.write(fusion_type2_matrix(deltas).tobytes())
+"""
+
+
+def test_type2_bytes_do_not_depend_on_the_dispatch_target():
+    default, none = (_run_child(TYPE2_CHILD, d).stdout for d in ("default", "none"))
+    assert len(default) == 2 * 4096 * 3 * 16 * 8
+    assert default == none

@@ -36,6 +36,7 @@ from uasim.averaging import (
     pair_state,
 )
 from uasim.gates import (
+    NoiseSpec,
     four_mode_matrix,
     fusion_type2_matrix,
     named_gate,
@@ -298,7 +299,7 @@ def end_to_end_one_tree_at_a_time(nu, num_copies, samples, *, seed, encoder_nois
 
     def chunk(idx, count):
         rng = chunk_rng(seed, _STREAM_GATES, idx)
-        noise = montecarlo._noise_spec(nu, "gaussian", None)
+        noise = NoiseSpec(nu, "gaussian")
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
         gates_mat = single_qubit_matrix(named_gate("I"), deltas)
         if n_deltas:
@@ -368,7 +369,7 @@ def fidelity_one_block(
 ):
     """``estimate_fidelity`` with each chunk drawn and computed as one block."""
     base = gate if gate is not None else named_gate("I")
-    noise = montecarlo._noise_spec(nu, kind, None)
+    noise = NoiseSpec(nu, kind)
     psi = montecarlo._unit_vector(input_state, 2)
     target = single_qubit_matrix(base) @ psi
 
@@ -391,7 +392,7 @@ def fusion_one_block(
     """``estimate_fusion`` with each chunk drawn and computed as one block."""
     if kind is None:
         kind = "four-moment" if layout == "type2" else "gaussian"
-    noise = montecarlo._noise_spec(nu, kind, None)
+    noise = NoiseSpec(nu, kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[single_photon_mode] = 1.0
@@ -545,7 +546,7 @@ def test_blocked_estimates_do_not_depend_on_the_schedule(monkeypatch, workers, b
 )
 def test_consecutive_draws_continue_one_stream(nu, kind):
     """Blocks drawn one after another from one generator are the whole draw."""
-    noise = montecarlo._noise_spec(nu, kind, None)
+    noise = NoiseSpec(nu, kind)
     one = np.random.default_rng(8)
     whole = sample_deltas(noise, (4103, 3, 5), one)
     for split in ((1, 4102), (4096, 7), (2000, 2103)):
@@ -565,7 +566,7 @@ def test_consecutive_draws_continue_one_stream(nu, kind):
 def test_a_block_draw_depends_only_on_its_position(nu, kind, shape):
     """Advancing the chunk's generator by lo * k gives rows lo:lo+n of the
     whole-chunk draw, k being the offsets per sample."""
-    noise = montecarlo._noise_spec(nu, kind, None)
+    noise = NoiseSpec(nu, kind)
     count, k = 1000, math.prod(shape)
     whole = sample_deltas(noise, (count, *shape), chunk_rng(8, _STREAM_GATES, 2))
     for lo, n in ((0, 1000), (0, 7), (7, 128), (135, 256), (993, 7), (999, 1)):
@@ -652,8 +653,9 @@ def test_a_failing_block_cancels_the_blocks_queued_behind_it(monkeypatch):
 
 
 def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
-    """Each pooled block draws on the worker that runs its kernel; the
-    end-to-end estimator draws and builds its trees on the calling thread."""
+    """Each pooled block draws on the worker that runs its kernel.  A run
+    whose chunks hold one block each, as every end-to-end run's do, draws and
+    runs its kernels on the calling thread and starts no thread."""
     calls = []
 
     def record(owner, name):
@@ -692,13 +694,26 @@ def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
             names = [name for name, i in calls if i == ident]
             assert names == ["montecarlo.sample_deltas", f"montecarlo.{kernel}"] * (len(names) // 2)
 
-    calls.clear()
-    estimate_end_to_end(0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140)
-    assert {name for name, _ in calls} == {
-        "montecarlo.sample_deltas", "averaging.sample_deltas",
-        "montecarlo.build_tree", "montecarlo.success_branch",
-    }
-    assert all(ident == me for _, ident in calls)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    # one block each: a whole 4096-sample fidelity block, a whole 1024-sample
+    # fusion block, and three 140-sample end-to-end chunks of one block each
+    for run, names in [
+        (lambda: estimate_fidelity(0.01, 3, 4096, seed=1),
+         {"montecarlo.sample_deltas", "montecarlo._batched_single_qubit_out"}),
+        (lambda: estimate_fusion(0.01, 2, 1024, seed=1, layout="four-mode"),
+         {"montecarlo.sample_deltas", "montecarlo.four_mode_matrix"}),
+        (lambda: estimate_end_to_end(
+            0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140),
+         {"montecarlo.sample_deltas", "averaging.sample_deltas",
+          "montecarlo.build_tree", "montecarlo.success_branch"}),
+    ]:
+        calls.clear()
+        run()
+        assert {name for name, _ in calls} == names
+        assert all(ident == me for _, ident in calls)
+    assert started == []
 
 
 def test_blocks_that_finish_out_of_order_keep_the_bits(monkeypatch):
