@@ -73,26 +73,24 @@ def heralded_operator(matrices: Sequence[np.ndarray], k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EncoderNoise:
-    """Splitter-angle jitter in the encoder/decoder network.
+class EncoderNoise(NoiseSpec):
+    """Splitter-angle jitter in the encoder/decoder network, a ``NoiseSpec``.
 
     ``correlated`` shares one angle offset among the rail splitters that make
     up a copy-pair coupling; otherwise every rail splitter jitters on its own.
     """
 
-    variance: float
     correlated: bool = True
-    kind: str = "gaussian"
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform"):
             raise ValueError(f"splitter noise kind must be gaussian or uniform, not {self.kind!r}")
-        NoiseSpec(self.variance, self.kind)  # the variance rule of the offsets
+        super().__post_init__()
 
     def draw(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Splitter-angle offsets of the given shape for one tree side; the
         last axis holds ``num_splitter_deltas(N, rails, correlated)``."""
-        return sample_deltas(NoiseSpec(self.variance, self.kind), shape, rng)
+        return sample_deltas(self, shape, rng)
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,7 +191,7 @@ def _parse_big_n(raw, flag: str) -> list[float]:
             num = float(item)
         except (TypeError, ValueError, OverflowError):
             num = math.nan
-        if isinstance(item, bool) or not (num == math.inf or (num.is_integer() and num >= 1)):
+        if isinstance(item, bool) or not (item == "inf" or (num.is_integer() and num >= 1)):
             raise UsageError(f"{flag} expects integers >= 1 or 'inf', got {item!r}")
         vals.append(num)
     return vals

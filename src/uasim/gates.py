@@ -128,8 +128,9 @@ class NoiseSpec:
         ``gaussian``     N(0, variance); fourth moment 3 nu^2.
         ``uniform``      uniform on [-sqrt(3 nu), +sqrt(3 nu)] (matched variance).
         ``four-moment``  symmetric three-point distribution hitting a prescribed
-                         fourth moment m4 >= nu^2; by default m4 = nu^2, the
-                         two-point +/- sqrt(nu) law that Type-II fusion assumes.
+                         fourth moment m4 >= nu^2, the one kind that takes one;
+                         by default m4 = nu^2, the two-point +/- sqrt(nu) law
+                         that Type-II fusion assumes.
     """
 
     variance: float
@@ -141,6 +142,8 @@ class NoiseSpec:
             raise ValueError("variance must be non-negative")
         if self.kind not in ("gaussian", "uniform", "four-moment"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.kind != "four-moment" and self.fourth_moment is not None:
+            raise ValueError(f"{self.kind} noise takes no fourth moment")
         if self.kind == "four-moment":
             # the rounded square, which pow (``**``) can miss by an ulp
             nu2 = self.variance * self.variance

@@ -9,12 +9,12 @@ independent of how chunks are scheduled.  ``_sweep`` cuts each chunk into
 blocks of samples and keeps each chunk's row of moment sums; ``_finalize``
 sums each column exactly (``math.fsum``), so the chunk order does not matter.
 
-A block's draw depends only on where it sits: with k offsets per sample, the
-block at sample lo draws from the chunk's generator advanced by lo * k
-(``_block_rng``).  PCG64 spends one 64-bit output per double, so these are
+A block's draw depends only on where it sits (``_block_draw``): with k
+offsets per sample, the block at sample lo draws from the chunk's generator
+advanced by lo * k.  PCG64 spends one 64-bit output per double, so these are
 the values a whole-chunk draw gives the block's samples.  The splitter stream
 of ``estimate_end_to_end`` holds a chunk's encoder offsets, then its decoder
-offsets, so a block's decoder offsets start at (count + lo) * k.
+offsets, so a block's decoder offsets are its block at position count + lo.
 
 Each estimator's block function draws a block's offsets, then runs its gate
 kernel.  A chunk's blocks are mapped in order with ``Executor.map`` on a
@@ -278,15 +278,13 @@ def _sweep(
     return [_finalize(s, samples) for s in zip(*rows)]
 
 
-def _gate_draw(seed: int, noise: NoiseSpec, shape: tuple[int, ...]) -> Callable:
-    """A block's draw of gate offsets, (n, *shape) for samples lo:lo+n of chunk ``idx``."""
-    per_sample = math.prod(shape)
+def _block_draw(seed: int, stream: int, draw: Callable, shape: tuple[int, ...]) -> Callable:
+    """``block(idx, lo, n)`` returns ``draw((n, *shape), rng)`` for samples
+    lo:lo+n of chunk ``idx`` on ``stream``, ``rng`` advanced to sample lo."""
+    def block(idx: int, lo: int, n: int) -> np.ndarray:
+        return draw((n, *shape), _block_rng(seed, stream, idx, lo * math.prod(shape)))
 
-    def draw(idx: int, lo: int, n: int, count: int) -> np.ndarray:
-        rng = _block_rng(seed, _STREAM_GATES, idx, lo * per_sample)
-        return sample_deltas(noise, (n, *shape), rng)
-
-    return draw
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +347,13 @@ def estimate_fidelity(
     target = single_qubit_matrix(base) @ psi
 
     def run_block(idx: int, lo: int, n: int, count: int):
-        out0, out1 = _batched_single_qubit_out(base, draw(idx, lo, n, count), psi)
+        out0, out1 = _batched_single_qubit_out(base, draw(idx, lo, n), psi)
         m0 = out0.mean(axis=1)
         m1 = out1.mean(axis=1)
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
         return a, np.abs(m0) ** 2 + np.abs(m1) ** 2
 
-    draw = _gate_draw(seed, noise, (num_copies, 5))
+    draw = _block_draw(seed, _STREAM_GATES, partial(sample_deltas, noise), (num_copies, 5))
     return _sweep(samples, chunk_size, _SAMPLES_PER_BLOCK, run_block)[0]
 
 
@@ -365,41 +363,38 @@ def estimate_end_to_end(
     samples: int,
     *,
     seed: int,
-    gate: GateParams | None = None,
-    input_state: Sequence[complex] = (1.0, 0.0),
     encoder_noise: EncoderNoise | None = None,
-    kind: str = "gaussian",
     chunk_size: int = 4096,
 ) -> GateRunResult:
     """Success probability and fidelity through the assembled splitter tree.
 
-    Unlike ``estimate_fidelity`` this routes every realization through the
-    explicit encoder/gates/decoder interferometer, optionally with jittering
-    splitters, and postselects on the copy-0 rails.  Trees are built in
-    stacks of at most ``_TREES_PER_SLICE``, and ``success_branch`` contracts
-    only their copy-0 block; every value equals the one the whole matrix of
-    a single-tree ``build_tree`` call per sample gives, bit for bit.
+    Unlike ``estimate_fidelity`` this routes every realization of the I gate
+    on |0>, with gaussian gate offsets, through the explicit encoder/gates/
+    decoder interferometer, optionally with jittering splitters, and
+    postselects on the copy-0 rails.  Trees are built in stacks of at most
+    ``_TREES_PER_SLICE``, and ``success_branch`` contracts only their copy-0
+    block; every value equals the one the whole matrix of a single-tree
+    ``build_tree`` call per sample gives, bit for bit.
     """
     if num_copies < 1 or num_copies & (num_copies - 1):
         raise ValueError("num_copies must be a power of two")
-    base = gate if gate is not None else named_gate("I")
-    noise = NoiseSpec(nu, kind)
-    psi = _unit_vector(input_state, 2)
+    base = named_gate("I")
+    psi = np.array([1.0, 0.0], dtype=complex)
     target = single_qubit_matrix(base) @ psi
+    noise = NoiseSpec(nu)
+    gate_draw = _block_draw(seed, _STREAM_GATES, partial(sample_deltas, noise), (num_copies, 5))
     n_deltas = 0
     if encoder_noise is not None:
         n_deltas = num_splitter_deltas(num_copies, 2, encoder_noise.correlated)
-    gate_draw = _gate_draw(seed, noise, (num_copies, 5))
+        splitter_draw = _block_draw(seed, _STREAM_SPLITTERS, encoder_noise.draw, (n_deltas,))
 
     def run_block(idx: int, lo: int, n: int, count: int):
         # the offsets are freed as soon as the gates are built
-        gates_mat = single_qubit_matrix(base, gate_draw(idx, lo, n, count))
+        gates_mat = single_qubit_matrix(base, gate_draw(idx, lo, n))
         if n_deltas:
             # a chunk's decoder offsets follow all its encoder offsets
-            srng = _block_rng(seed, _STREAM_SPLITTERS, idx, lo * n_deltas)
-            enc = encoder_noise.draw((n, n_deltas), srng)
-            srng.bit_generator.advance((count - n) * n_deltas)
-            dec = encoder_noise.draw((n, n_deltas), srng)
+            enc = splitter_draw(idx, lo, n)
+            dec = splitter_draw(idx, count + lo, n)
         amps = np.empty(n, dtype=complex)
         probs = np.empty(n)
         for start in range(0, n, _TREES_PER_SLICE):
@@ -462,7 +457,7 @@ def estimate_fusion(
         shape, build = (num_copies, 4, 5), four_mode_matrix
 
     def run_block(idx: int, lo: int, n: int, count: int):
-        avg = build(deltas=draw(idx, lo, n, count)).mean(axis=1)
+        avg = build(deltas=draw(idx, lo, n)).mean(axis=1)
         out1 = avg @ psi
         s_out = evolve_pair(avg, s_in)
         return (
@@ -481,7 +476,7 @@ def estimate_fusion(
         a1 = np.concatenate([part @ np.conj(target1) for part in parts])
         return [(a1, p1), (a2, p2)]
 
-    draw = _gate_draw(seed, noise, shape)
+    draw = _block_draw(seed, _STREAM_GATES, partial(sample_deltas, noise), shape)
     return FusionRunResult(
         *_sweep(samples, chunk_size, _FUSION_SAMPLES_PER_BLOCK, run_block, series)
     )

@@ -99,6 +99,8 @@ class HeraldPattern:
     def from_indices(cls, indices: Sequence[int], code: ParityCode) -> "HeraldPattern":
         flags = [False] * code.physical_qubits
         for i in indices:
+            if not 0 <= i < code.physical_qubits:
+                raise ValueError(f"qubit index {i} out of range")
             flags[i] = True
         return cls(flags)
 

@@ -366,6 +366,23 @@ def test_encoder_noise_accepts_both_continuous_kinds():
             assert EncoderNoise(variance, kind=kind).kind == kind
 
 
+@pytest.mark.parametrize("correlated", [True, False])
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_encoder_noise_draws_the_bytes_of_its_noise_spec(kind, correlated):
+    noise = EncoderNoise(1e-3, kind=kind, correlated=correlated)
+    assert isinstance(noise, NoiseSpec)
+    shape = (3, num_splitter_deltas(8, 2, correlated))
+    drawn = noise.draw(shape, np.random.default_rng(4))
+    spec = sample_deltas(NoiseSpec(1e-3, kind), shape, np.random.default_rng(4))
+    assert drawn.tobytes() == spec.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_encoder_noise_takes_no_fourth_moment(kind):
+    with pytest.raises(ValueError, match=f"{kind} noise takes no fourth moment"):
+        EncoderNoise(1e-4, kind, 3e-8)
+
+
 @pytest.mark.parametrize("num_copies", [2, 4])
 def test_encoder_offsets_enter_only_at_second_order(num_copies):
     """Success-branch error under a frozen offset pattern scales as the square.

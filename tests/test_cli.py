@@ -71,6 +71,20 @@ def test_analytic_handles_infinite_copies(run):
     assert out.splitlines()[1] == "0.029999999999999999,inf,1,"
 
 
+def test_big_n_reads_infinity_only_from_the_text_inf(run, tmp_path):
+    argv = ("analytic", "--formula", "ps-single", "--nu", "0.01", "--variant", "main")
+    # 1e400 overflows to float inf, but it names no copy count
+    code, out, err = run(*argv, "--big-n", "1e400")
+    assert (code, out) == (2, "")
+    assert err.startswith("uasim: --big-n expects integers >= 1 or 'inf'")
+    cfg = tmp_path / "cfg.json"
+    code, out, _ = run(*argv, "--big-n", "inf", "--dump-config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1] == "0.01,inf,0.97044999999999992,main"
+    assert json.loads(cfg.read_text())["big_n"] == ["inf"]
+    assert run("analytic", "--config", str(cfg)) == (0, out, "")
+
+
 def test_analytic_json_format(run):
     code, out, _ = run(
         "analytic", "--formula", "ps-four-mode", "--nu", "0.005", "--big-n", "8",

@@ -136,6 +136,14 @@ def test_four_moment_defaults_to_the_two_point_law(nu):
         NoiseSpec(nu, "four-moment", np.nextafter(nu * nu, 0.0))
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_only_four_moment_noise_takes_a_fourth_moment(kind):
+    # the continuous kinds fix their own m4, so an explicit one is an error
+    with pytest.raises(ValueError, match=f"{kind} noise takes no fourth moment"):
+        NoiseSpec(0.01, kind, 5.0)
+    assert NoiseSpec(0.01, kind).fourth_moment is None
+
+
 def test_two_point_distribution_is_pure_sign_flip():
     # m4 = nu^2 collapses the three-point law onto +/- sqrt(nu)
     nu = 0.01

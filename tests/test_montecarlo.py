@@ -622,17 +622,17 @@ def test_a_failing_block_cancels_the_blocks_queued_behind_it(monkeypatch):
     the caller cancels: the other worker's, and the one the failed worker
     may take before the cancel.  No fourth block is drawn."""
     drawn, cancelled = [], threading.Event()
-    make_draw = montecarlo._gate_draw
+    make_draw = montecarlo._block_draw
 
     def gated_draw(*spec):
         draw = make_draw(*spec)
 
-        def gated(idx, lo, n, count):
+        def gated(idx, lo, n):
             drawn.append(lo)
             if lo == 0:
                 raise MemoryError("first block")
             cancelled.wait(timeout=5.0)
-            return draw(idx, lo, n, count)
+            return draw(idx, lo, n)
 
         return gated
 
@@ -642,7 +642,7 @@ def test_a_failing_block_cancels_the_blocks_queued_behind_it(monkeypatch):
             future.add_done_callback(lambda f: f.cancelled() and cancelled.set())
             return future
 
-    monkeypatch.setattr(montecarlo, "_gate_draw", gated_draw)
+    monkeypatch.setattr(montecarlo, "_block_draw", gated_draw)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
     samples = 20 * montecarlo._SAMPLES_PER_BLOCK  # one chunk of 20 blocks

@@ -52,6 +52,13 @@ def test_herald_pattern_helpers():
     assert HeraldPattern.clear(code).errored_copies(code) == ()
 
 
+@pytest.mark.parametrize("index", [-1, 4, 100])
+def test_herald_pattern_rejects_indices_outside_the_register(index):
+    # -1 would otherwise flag the last qubit, 4 fail as a bare IndexError
+    with pytest.raises(ValueError, match=f"qubit index {index} out of range"):
+        HeraldPattern.from_indices([0, index], ParityCode(2, 2))
+
+
 class TestSuccessCriteria:
     code = ParityCode(2, 2)
 
