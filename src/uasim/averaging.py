@@ -213,17 +213,31 @@ def _ideal_side(n, rails, mirrored, lo, hi):
     return out
 
 
+# Most multiply-adds (rows x inner x columns) in one product that ``_matmul``
+# hands OpenBLAS.  OpenBLAS runs a complex product of 65536 or more on two
+# threads, and its helper thread then spins for about 0.1 s after the call,
+# taking a core from any thread pool the process starts next.
+_ONE_THREAD_PRODUCT = 1 << 15
+
+
 def _matmul(a, b):
-    """``a @ b``, as one BLAS call when ``a`` or ``b`` has no stack axes.
+    """``a @ b``, in few BLAS calls when ``a`` or ``b`` has no stack axes.
 
     Broadcasting would make one call per stacked matrix.  Here a stacked
     ``a`` has its matrices' rows laid one below another, and a stacked ``b``
     its matrices' columns side by side; each entry is still one dot over the
-    same inner axis.
+    same inner axis.  Those columns go in parts of whole matrices of ``b``,
+    each part within ``_ONE_THREAD_PRODUCT`` unless one matrix exceeds it; a
+    tree's matrices have at least two columns, so no part is a
+    matrix-vector product.
     """
     if a.ndim == 2 and b.ndim > 2:
         cols = np.moveaxis(b, -2, 0).reshape(b.shape[-2], -1)
-        out = (a @ cols).reshape(a.shape[:1] + b.shape[:-2] + b.shape[-1:])
+        out = np.empty((a.shape[0], cols.shape[1]), np.result_type(a, b))
+        step = b.shape[-1] * max(1, _ONE_THREAD_PRODUCT // (a.size * b.shape[-1]))
+        for i in range(0, cols.shape[1], step):
+            np.matmul(a, cols[:, i : i + step], out=out[:, i : i + step])
+        out = out.reshape(a.shape[:1] + b.shape[:-2] + b.shape[-1:])
         return np.moveaxis(out, 0, -2)
     if b.ndim == 2 and a.ndim > 2:
         rows = a.reshape(-1, a.shape[-1]) @ b

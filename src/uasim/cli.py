@@ -24,7 +24,10 @@ does not fit in memory is named by its own N.
 
 The parser is built on the first ``main`` call, not at import, and reused by
 every later call in the process; it keeps no per-call state, so a call gives
-the bytes and exit code it gives in a fresh process.
+the bytes and exit code it gives in a fresh process.  A call that names a
+subcommand first is parsed by that subcommand's parser alone, with the
+namespace, exits and messages the root parser's routing gives; the root
+parser only parses calls that name no subcommand first.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input data,
 4 internal error.
@@ -676,26 +679,46 @@ _SUBCOMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argparse tree, built by the first ``main`` call of a process and
-    shared by every later one.  It holds no per-call state: a list field
-    appends to a None default, so each parse starts a new list; each parse
-    fills a new Namespace; and argparse looks up ``sys.stdout`` and
-    ``sys.stderr`` when it prints help or an error."""
+    shared by every later one: the root parser and each subcommand's parser
+    by name.  It holds no per-call state: a list field appends to a None
+    default, so each parse starts a new list; each parse fills a new
+    Namespace; and argparse looks up ``sys.stdout`` and ``sys.stderr`` when
+    it prints help or an error."""
     parser = argparse.ArgumentParser(
         prog="uasim",
         description="Averaged linear-optics gates: formulas, sampling, regions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
     for name, (_, help_, _, fields) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        p = subparsers[name] = sub.add_parser(name, help=help_)
         for dest, (kind, field_help) in fields.items():
             action = ({"action": "append"} if kind in _REPEATED
                       else {"action": "store_const", "const": True} if kind is _switch
                       else {})
             p.add_argument(_flag(dest), dest=dest, help=field_help, **action)
         p.add_argument("--config", help="JSON file with field values; flags override it")
-    return parser
+    return parser, subparsers
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the root parser, with its exits and messages.
+
+    A call that names a subcommand first goes straight to that subcommand's
+    parser, as the root parser would route it, and its leftover tokens to
+    the root parser's "unrecognized arguments" error; the root parser only
+    parses an argv that names no subcommand first.
+    """
+    parser, subparsers = _build_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -719,9 +742,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

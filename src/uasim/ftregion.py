@@ -170,13 +170,16 @@ def sweep_region(
     rates are checked by ``effective_rates``.
     """
     out = []
+    limits = {}  # threshold by effective error, which only (epsilon, N) sets
     for n in n_list:
         if n < 1 or n & (n - 1):
             raise ValueError("num_copies must be a power of two")
         for eps in eps_grid:
             for gam in gamma_grid:
                 err, loss = effective_rates(eps, gam, n)
-                limit = curve.gamma_at(err)
+                if err not in limits:
+                    limits[err] = curve.gamma_at(err)
+                limit = limits[err]
                 ok = limit is not None and loss <= limit
                 out.append(SweepPoint(eps, gam, n, err, loss, ok))
     return out

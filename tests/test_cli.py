@@ -920,6 +920,68 @@ def test_one_parser_per_process(monkeypatch):
     assert 1 <= len(built) <= 6, built
 
 
+def parsed(parse, argv):
+    """What one parse gives: its namespace, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def routed(argv):
+    """The root parser's own parse, routing through argparse's subparsers."""
+    return cli._build_parser()[0].parse_args(argv)
+
+
+VALUES = ["-1e-3", "-0.5", "--", "-h", "--help", "0.1", "2", "1,4", "inf", "json",
+          "stray", "--bogus", "-x", "parity"]
+
+
+@st.composite
+def argvs(draw):
+    sub = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    flags = [cli._flag(dest) for dest in cli._SUBCOMMANDS[sub][3]] + ["--config"]
+    flag = st.sampled_from(flags)
+    value = st.sampled_from(VALUES)
+    token = (
+        flag
+        | flag.flatmap(lambda f: st.integers(3, max(3, len(f) - 1)).map(lambda k: f[:k]))
+        | st.builds("{}={}".format, flag, value)
+        | value
+    )
+    head = draw(st.sampled_from(
+        [[sub], [sub], [sub], [], ["-h"], ["--format", "csv", sub], ["bogus"], [sub[:3]]]
+    ))
+    items = draw(st.lists(st.tuples(flag, value) | st.tuples(token), max_size=6))
+    return head + [t for item in items for t in item]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_dispatch_parses_as_the_root_parser_routes(argv):
+    assert parsed(cli._parse_args, argv) == parsed(routed, argv)
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    ([], 2, "error: the following arguments are required: subcommand"),
+    (["-h"], 0, "{analytic,mc,encode-check,parity,ft-region}"),
+    (["bogus"], 2, "error: argument subcommand: invalid choice: 'bogus'"),
+    (["--format", "csv", "parity"], 2, "error: argument subcommand: invalid choice: 'csv'"),
+    # the root parser's usage line, as argparse reports a subparser's leftovers
+    (["parity", "--n", "2", "--q", "2", "--p", "0.1", "--bogus"], 2,
+     "usage: uasim [-h] {"),
+    (["ft-region", "--epsilon", "-1e-3", "--gamma", "0", "--big-n", "1"], 2,
+     "uasim ft-region: error: argument --epsilon: expected one argument"),
+])
+def test_dispatch_keeps_argparse_exits_and_messages(argv, code, fragment):
+    got = parsed(cli._parse_args, argv)
+    assert got == parsed(routed, argv)
+    assert got[0] == code and fragment in got[1] + got[2]
+    assert call(*argv) == (code, got[1], got[2])
+
+
 # ---------------------------------------------------------------------------
 # any config value: exit 0, 2 or 3, never an internal error
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import uasim
+from uasim import ftregion
 from uasim.cli import main as cli_main
 from uasim.formulas import effective_rates
 from uasim.ftregion import (
     CurveFormatError,
+    SweepPoint,
     ThresholdCurve,
     load_synthetic_curve,
     sweep_region,
@@ -236,6 +238,33 @@ def test_sweep_region_order_and_content():
         assert (p.effective_error, p.effective_loss) == (err, loss)
         (alone,) = sweep_region([p.epsilon], [p.gamma], [p.num_copies], FLAT)
         assert p.fault_tolerant == alone.fault_tolerant
+
+
+def test_sweep_looks_up_each_effective_error_once(monkeypatch):
+    curve = load_synthetic_curve()
+    eps_grid, gamma_grid, n_list = [1e-4, 1e-3, 4e-3], [0.0, 1e-3, 2e-2], [1, 2, 8]
+    # the oracle: rates and threshold for every point
+    want = []
+    for n in n_list:
+        for eps in eps_grid:
+            for gam in gamma_grid:
+                err, loss = effective_rates(eps, gam, n)
+                limit = curve.gamma_at(err)
+                ok = limit is not None and loss <= limit
+                want.append(SweepPoint(eps, gam, n, err, loss, ok))
+
+    looked_up, rated = [], []
+    gamma_at, rates = ThresholdCurve.gamma_at, ftregion.effective_rates
+    monkeypatch.setattr(
+        ThresholdCurve, "gamma_at", lambda self, e: looked_up.append(e) or gamma_at(self, e)
+    )
+    monkeypatch.setattr(
+        ftregion, "effective_rates", lambda *a: rated.append(a) or rates(*a)
+    )
+    assert sweep_region(eps_grid, gamma_grid, n_list, curve) == want
+    assert sorted(looked_up) == sorted({p.effective_error for p in want})
+    assert len(looked_up) == len(eps_grid) * len(n_list)
+    assert rated == [(p.epsilon, p.gamma, p.num_copies) for p in want]
 
 
 def test_write_sweep_csv_format(capsys):

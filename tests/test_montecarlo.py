@@ -480,11 +480,7 @@ def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
         )
 
 
-SPIN_CHILD = """
-import sys
-import time
-from uasim.montecarlo import estimate_fusion
-
+SPIN_SETTLE = """
 
 def cpu_during_sleep():
     cpu = time.process_time()
@@ -499,7 +495,13 @@ for _ in range(40):
         break
 else:
     sys.exit("the host never settled: every 50 ms sleep cost 1 ms of CPU or more")
+"""
 
+SPIN_CHILD = """
+import sys
+import time
+from uasim.montecarlo import estimate_fusion
+""" + SPIN_SETTLE + """
 for layout in ("type2", "four-mode"):
     estimate_fusion(0.01, 2, 16384, seed=1, layout=layout)
     spent = cpu_during_sleep()
@@ -515,6 +517,32 @@ def test_fusion_leaves_no_blas_thread_spinning():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SPIN_CHILD], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+TREE_SPIN_CHILD = """
+import sys
+import time
+from uasim.montecarlo import estimate_end_to_end
+""" + SPIN_SETTLE + """
+num_copies = int(sys.argv[1])
+estimate_end_to_end(0.01, num_copies, 2048, seed=1)
+spent = cpu_during_sleep()
+assert spent < 0.01, f"N = {num_copies}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep"
+"""
+
+
+@pytest.mark.parametrize("num_copies", [8, 16])
+def test_tree_leaves_no_blas_thread_spinning(num_copies):
+    # 128 trees' decoder rows times their gates, in one product, are
+    # 2 x 16 @ 16 x 2048 at N = 8: big enough for two OpenBLAS threads.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TREE_SPIN_CHILD, str(num_copies)],
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
