@@ -570,6 +570,9 @@ def cmd_parity(params: dict) -> _Table:
             value = logical_success_prob(code, p)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        except OverflowError:
+            # float ** int with an exponent past the float range
+            raise UsageError("--n and --q are too large for float arithmetic") from None
         rows.append({"n": code.n, "q": code.q, "p": p, "success_prob": float(value)})
     return _Table(
         ("n", "q", "p", "success_prob"),

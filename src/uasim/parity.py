@@ -10,7 +10,9 @@ least one copy is untouched and no damaged copy lost all of its qubits; an
 odd number of "-" outcomes leaves a known sign flip on the logical |1>.
 
 ``statevector_verify`` checks that story against a brute-force amplitude
-simulation of all n*q qubits.
+simulation of all n*q qubits.  Qubit i keeps axis i of the amplitude tensor
+from start to finish (a heralded or measured qubit shrinks it to length 1),
+and the herald amplitudes are drawn from the caller's ``rng``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "ParityCode",
     "LogicalState",
     "HeraldPattern",
-    "HeraldAmplitudes",
     "VerifierReport",
     "success_criteria",
     "logical_success_prob",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_ONE = np.ones(1)  # the factor of a qubit whose axis has shrunk to length 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,10 @@ class ParityCode:
 
 @dataclass(frozen=True)
 class LogicalState:
-    """Normalized logical amplitudes alpha |0>_L + beta |1>_L."""
+    """Normalized logical amplitudes alpha |0>_L + beta |1>_L.
+
+    Public as the logical input of ``encoded_state`` and ``statevector_verify``.
+    """
 
     alpha: complex
     beta: complex
@@ -90,10 +95,6 @@ class HeraldPattern:
 
     def __init__(self, flags: Sequence[bool]):
         object.__setattr__(self, "flags", tuple(bool(f) for f in flags))
-
-    @classmethod
-    def clear(cls, code: ParityCode) -> "HeraldPattern":
-        return cls((False,) * code.physical_qubits)
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], code: ParityCode) -> "HeraldPattern":
@@ -162,55 +163,46 @@ def enumerate_success_prob(code: ParityCode, p):
 
 
 # ---------------------------------------------------------------------------
-# herald branch structure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeraldAmplitudes:
-    """Stochastic per-rail factors of one heralded qubit: the photon reaches
-    the error mode as delta_h * a - delta_v * b from rails (a, b)."""
-
-    delta_h: complex
-    delta_v: complex
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "HeraldAmplitudes":
-        v = rng.standard_normal(4) / _SQRT2
-        return cls(complex(v[0], v[1]), complex(v[2], v[3]))
-
-    def functional(self) -> np.ndarray:
-        """Row vector contracting a qubit into its herald amplitude."""
-        return np.array([self.delta_h, -self.delta_v])
-
-
-# ---------------------------------------------------------------------------
 # state-vector verification
 # ---------------------------------------------------------------------------
 
 
 def parity_block_state(n: int, bit: int) -> np.ndarray:
-    """|0>^(n) or |1>^(n) as a rank-n amplitude tensor in the H/V basis."""
-    plus = np.array([1.0, 1.0]) / _SQRT2
-    minus = np.array([1.0, -1.0]) / _SQRT2
-    all_plus = _outer_power(plus, n)
-    all_minus = _outer_power(minus, n)
+    """|0>^(n) or |1>^(n) as a rank-n amplitude tensor in the H/V basis.
+
+    Public with ``encoded_state`` as the starting point of the
+    ``statevector_verify`` oracle, so that tests can check the block states
+    the oracle rests on.
+    """
+    if bit not in (0, 1):
+        raise ValueError("bit must be 0 or 1")
+    return _gated_block_state(np.eye(2), n, bit)
+
+
+def _gated_block_state(u: np.ndarray, n: int, bit: int) -> np.ndarray:
+    """u on every qubit of |bit>^(n): ((u|+>)^n +/- (u|->)^n)/sqrt(2)."""
+    plus = u @ (np.array([1.0, 1.0]) / _SQRT2)
+    minus = u @ (np.array([1.0, -1.0]) / _SQRT2)
+    all_plus = reduce(np.multiply.outer, [plus] * n)
+    all_minus = reduce(np.multiply.outer, [minus] * n)
     if bit == 0:
         return (all_plus + all_minus) / _SQRT2
-    if bit == 1:
-        return (all_plus - all_minus) / _SQRT2
-    raise ValueError("bit must be 0 or 1")
+    return (all_plus - all_minus) / _SQRT2
 
 
-def _outer_power(vec: np.ndarray, n: int) -> np.ndarray:
-    return reduce(np.multiply.outer, [vec] * n)
+def _superpose(alpha, beta, zeros, ones) -> np.ndarray:
+    """alpha (x)_c zeros[c] + beta (x)_c ones[c], the copies' axes in order."""
+    return alpha * reduce(np.multiply.outer, zeros) + beta * reduce(np.multiply.outer, ones)
 
 
 def encoded_state(code: ParityCode, logical: LogicalState) -> np.ndarray:
-    """Full encoded amplitude tensor, one axis per physical qubit."""
-    zeros = _outer_power(parity_block_state(code.n, 0), code.q)
-    ones = _outer_power(parity_block_state(code.n, 1), code.q)
-    return logical.alpha * zeros + logical.beta * ones
+    """Full encoded amplitude tensor, one axis per physical qubit.
+
+    Public as the register ``statevector_verify`` starts from.
+    """
+    zero = parity_block_state(code.n, 0)
+    one = parity_block_state(code.n, 1)
+    return _superpose(logical.alpha, logical.beta, [zero] * code.q, [one] * code.q)
 
 
 def _apply_on_axis(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
@@ -240,22 +232,23 @@ def statevector_verify(
     outcomes: Sequence[int],
     *,
     rng: np.random.Generator | None = None,
-    branches: dict[int, HeraldAmplitudes] | None = None,
     atol: float = 1e-10,
 ) -> VerifierReport:
     """Simulate recovery on the full register and compare to the closed form.
 
-    Every damaged copy is processed in turn: herald outcomes are projected
-    out, then the lowest-index survivor of that copy is measured in the
-    rotated basis u_target (|0> +/- |1>)/sqrt(2) with the prescribed outcome.
-    The result must match, up to a global phase, the target gate applied
-    transversally to the re-encoded logical state — with the sign of the
-    logical |1> flipped when the number of "-" outcomes is odd — each
-    leftover survivor sitting in its rotated +/- state.
+    Each qubit gets one operator: the target gate, its herald row, or, for
+    the lowest-index survivor of a damaged copy, the gate followed by the
+    measurement in the rotated basis u_target (|0> +/- |1>)/sqrt(2) with the
+    prescribed outcome.  Qubit i stays on axis i throughout; a heralded or
+    measured qubit keeps its axis with length 1.  The result must match, up
+    to a global phase, the target gate applied transversally to the clean
+    copies — with the sign of the logical |1> flipped when the number of "-"
+    outcomes is odd — each leftover survivor sitting in its rotated +/- state.
 
-    Herald amplitudes are taken from ``branches`` (qubit index -> amplitudes)
-    or drawn from ``rng``.  Keeps to registers of at most 16 qubits.  Public
-    as the brute-force oracle for the recovery story ``success_criteria`` encodes.
+    Herald amplitudes are drawn from ``rng``, four standard normals / sqrt(2)
+    per heralded qubit in qubit order.  Keeps to registers of at most 16
+    qubits.  Public as the brute-force oracle for the recovery story
+    ``success_criteria`` encodes.
     """
     m = code.physical_qubits
     if m > 16:
@@ -272,39 +265,24 @@ def statevector_verify(
     outcomes = tuple(1 if o >= 0 else -1 for o in outcomes)
     if len(outcomes) != len(errored):
         raise ValueError("need one measurement outcome per damaged copy")
-    if branches is None:
-        if heralded and rng is None:
-            raise ValueError("heralds need branch amplitudes or an rng")
-        branches = {i: HeraldAmplitudes.random(rng) for i in heralded}
+    if heralded and rng is None:
+        raise ValueError("heralds need an rng to draw their amplitudes")
 
+    # the rotated +/- state each damaged copy is measured in
+    bases = {c: u @ (np.array([1.0, float(o)]) / _SQRT2) for c, o in zip(errored, outcomes)}
+
+    ops = [u] * m
+    for qubit in heralded:
+        # the photon reaches the error mode as delta_h a - delta_v b from rails (a, b)
+        v = rng.standard_normal(4) / _SQRT2
+        ops[qubit] = np.array([[complex(v[0], v[1]), -complex(v[2], v[3])]])
+    for copy, basis in bases.items():
+        # disentangling measurement: lowest-index survivor of each damaged copy
+        survivor = code.n * copy + pattern.copy_flags(code, copy).index(False)
+        ops[survivor] = np.conj(basis)[None] @ u
     state = encoded_state(code, logical)
-
-    # channels: target gate on clean qubits, herald contraction on the rest
-    axis_of = list(range(m))
-    for qubit in range(m):
-        ax = axis_of[qubit]
-        if pattern.flags[qubit]:
-            state = np.tensordot(branches[qubit].functional(), state, axes=([0], [ax]))
-            axis_of[qubit] = -1
-            for other in range(m):
-                if axis_of[other] > ax:
-                    axis_of[other] -= 1
-        else:
-            state = _apply_on_axis(state, u, ax)
-
-    # disentangling measurement: lowest-index survivor of each damaged copy
-    measured: dict[int, int] = {}
-    for copy, outcome in zip(errored, outcomes):
-        flags = pattern.copy_flags(code, copy)
-        survivor = code.n * copy + flags.index(False)
-        basis = u @ (np.array([1.0, float(outcome)]) / _SQRT2)
-        ax = axis_of[survivor]
-        state = np.tensordot(np.conj(basis), state, axes=([0], [ax]))
-        axis_of[survivor] = -1
-        for other in range(m):
-            if axis_of[other] > ax:
-                axis_of[other] -= 1
-        measured[copy] = survivor
+    for axis, op in enumerate(ops):
+        state = _apply_on_axis(state, op, axis)
 
     norm = np.linalg.norm(state)
     if norm < 1e-300:
@@ -313,7 +291,24 @@ def statevector_verify(
         )
     state = state / norm
 
-    expected = _expected_state(code, pattern, u, logical, outcomes, measured)
+    # closed form, copy by copy: a clean copy carries the gate on its logical
+    # block; a damaged one is the same in both terms, [1] on each heralded or
+    # measured qubit and the rotated state on each leftover survivor
+    zeros, ones = [], []
+    for copy in range(code.q):
+        if copy in bases:
+            flags = pattern.copy_flags(code, copy)
+            measured = flags.index(False)
+            gone = [f or k == measured for k, f in enumerate(flags)]
+            block = reduce(np.multiply.outer, [_ONE if g else bases[copy] for g in gone])
+            zeros.append(block)
+            ones.append(block)
+        else:
+            zeros.append(_gated_block_state(u, code.n, 0))
+            ones.append(_gated_block_state(u, code.n, 1))
+    scale = math.sqrt(abs(logical.alpha) ** 2 + abs(logical.beta) ** 2)
+    sign = math.prod(outcomes)
+    expected = _superpose(logical.alpha / scale, sign * logical.beta / scale, zeros, ones)
 
     # global-phase alignment before comparing
     overlap = np.vdot(expected, state)
@@ -326,36 +321,3 @@ def statevector_verify(
     passed = deviation <= atol
     msg = "" if passed else f"max amplitude mismatch {deviation:.3e}"
     return VerifierReport(passed, deviation, outcomes, heralded, msg)
-
-
-def _expected_state(code, pattern, u, logical, outcomes, measured) -> np.ndarray:
-    """Closed-form final state, axes ordered by original qubit index."""
-    clean = [c for c in range(code.q) if c not in pattern.errored_copies(code)]
-    sign = 1
-    for o in outcomes:
-        sign *= o
-    small = ParityCode(code.n, len(clean))
-    zeros = _outer_power(parity_block_state(code.n, 0), small.q)
-    ones = _outer_power(parity_block_state(code.n, 1), small.q)
-    block = logical.alpha * zeros + sign * logical.beta * ones
-    block = block / np.linalg.norm(block)
-    for ax in range(small.physical_qubits):
-        block = _apply_on_axis(block, u, ax)
-
-    clean_qubits = [qb for c in clean for qb in range(code.n * c, code.n * (c + 1))]
-    survivor_qubits = []
-    factors = []
-    for copy, outcome in zip(pattern.errored_copies(code), outcomes):
-        basis = u @ (np.array([1.0, float(outcome)]) / _SQRT2)
-        for qb in range(code.n * copy, code.n * (copy + 1)):
-            if not pattern.flags[qb] and qb != measured[copy]:
-                survivor_qubits.append(qb)
-                factors.append(basis)
-
-    expected = block
-    for vec in factors:
-        expected = np.multiply.outer(expected, vec)
-    source_order = clean_qubits + survivor_qubits
-    target_order = sorted(source_order)
-    perm = [source_order.index(qb) for qb in target_order]
-    return np.transpose(expected, perm)

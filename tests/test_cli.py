@@ -121,6 +121,7 @@ def bad(case_id, *argv, message="uasim:"):
 # allocation fails at once and nothing is committed.  The grid stops at that
 # first point and names it, not the largest N of the grid.
 UNALLOCATABLE = f"uasim: --big-n {2**40}: the noise draw for that many copies does not fit"
+PARITY_OVERFLOW = "uasim: --n and --q are too large for float arithmetic"
 
 
 @pytest.mark.parametrize(
@@ -163,6 +164,11 @@ UNALLOCATABLE = f"uasim: --big-n {2**40}: the noise draw for that many copies do
         bad("mc-big-n-first-unallocatable", "mc", "--nu", "0.01",
             "--big-n", f"{2**40},{2**41}", "--samples", "10", "--seed", "1",
             message=UNALLOCATABLE),
+        # (1 - p)^n and (c + s)^q overflow a float
+        bad("parity-n-overflow", "parity", "--n", str(10**400), "--q", "2", "--p", "0.1",
+            message=PARITY_OVERFLOW),
+        bad("parity-q-overflow", "parity", "--n", "2", "--q", str(10**400), "--p", "0.1",
+            message=PARITY_OVERFLOW),
     ],
 )
 def test_bad_numbers_are_usage_errors(run, argv, message):
@@ -271,9 +277,10 @@ MC_CONFIG = {"subcommand": "mc", "nu": ["0.01"], "big_n": ["2"], "samples": 100,
         ({"subcommand": "encode-check", "levels": ["1"], "delta_theta": ["1e-3,1e-4"],
           "seed": 5, "gate": ["H"]}, "--gate"),
         (dict(MC_CONFIG, family=["type2"]), "--family"),
+        ({"subcommand": "parity", "n": 10**400, "q": 2, "p": ["0.1"]}, "--n"),
     ],
     ids=["unknown-key", "other-subcommand-key", "switch-as-text", "out-as-number",
-         "formula-list", "gate-list", "family-list"],
+         "formula-list", "gate-list", "family-list", "parity-n-overflow"],
 )
 def test_config_fields_are_checked_like_flags(run, tmp_path, config, flag):
     cfg = tmp_path / "cfg.json"

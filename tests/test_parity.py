@@ -8,7 +8,6 @@ import pytest
 
 from uasim.gates import named_gate, single_qubit_matrix
 from uasim.parity import (
-    HeraldAmplitudes,
     HeraldPattern,
     LogicalState,
     ParityCode,
@@ -49,7 +48,7 @@ def test_herald_pattern_helpers():
     assert pat.copy_flags(code, 0) == (False, True)
     assert pat.copy_flags(code, 1) == (False, False)
     assert pat.errored_copies(code) == (0, 2)
-    assert HeraldPattern.clear(code).errored_copies(code) == ()
+    assert HeraldPattern.from_indices([], code).errored_copies(code) == ()
 
 
 @pytest.mark.parametrize("index", [-1, 4, 100])
@@ -63,7 +62,7 @@ class TestSuccessCriteria:
     code = ParityCode(2, 2)
 
     def test_no_heralds_recoverable(self):
-        assert success_criteria(HeraldPattern.clear(self.code), self.code)
+        assert success_criteria(HeraldPattern.from_indices([], self.code), self.code)
 
     def test_partial_damage_recoverable(self):
         assert success_criteria(HeraldPattern([True, False, False, False]), self.code)
@@ -160,7 +159,7 @@ def test_verifier_clean_pattern(gate):
     code = ParityCode(2, 2)
     report = statevector_verify(
         code,
-        HeraldPattern.clear(code),
+        HeraldPattern.from_indices([], code),
         single_qubit_matrix(gate),
         LogicalState.random(np.random.default_rng(31)),
         outcomes=(),
@@ -218,18 +217,54 @@ def test_verifier_two_damaged_copies_multiply_signs(outcomes):
 
 def test_verifier_with_fixed_branch_amplitudes_is_deterministic():
     code = ParityCode(2, 2)
-    branches = {1: HeraldAmplitudes(0.4 + 0.2j, -0.1 + 0.3j)}
     kwargs = dict(
         code=code,
         pattern=HeraldPattern.from_indices([1], code),
         u_target=single_qubit_matrix(named_gate("H")),
         logical=LogicalState(0.6, 0.8j),
         outcomes=(1,),
-        branches=branches,
     )
-    a = statevector_verify(**kwargs)
-    b = statevector_verify(**kwargs)
+    a = statevector_verify(**kwargs, rng=np.random.default_rng(5))
+    b = statevector_verify(**kwargs, rng=np.random.default_rng(5))
     assert a.passed and a.deviation == b.deviation
+
+
+@pytest.mark.parametrize(
+    "heralds, outcomes, deviation",
+    [
+        ([], (), 4.002763393404096),
+        ([0], (1,), 0.9206963331290252),
+        ([0], (-1,), 1.1792183093034374),
+    ],
+    ids=["clean", "herald-plus", "herald-minus"],
+)
+def test_verifier_fails_a_non_unitary_target(heralds, outcomes, deviation):
+    # diag(1, 2) stretches the logical state; the closed form keeps the
+    # logical amplitudes normalized before the gate, so the mismatch shows
+    code = ParityCode(2, 2)
+    report = statevector_verify(
+        code,
+        HeraldPattern.from_indices(heralds, code),
+        np.diag([1.0, 2.0]),
+        LogicalState(0.6, 0.8j),
+        outcomes=outcomes,
+        rng=np.random.default_rng(1),
+    )
+    assert report.passed is False
+    assert report.message.startswith("max amplitude mismatch")
+    assert report.deviation == pytest.approx(deviation, rel=1e-12)
+
+
+def test_verifier_needs_an_rng_for_heralds():
+    code = ParityCode(2, 2)
+    with pytest.raises(ValueError, match="heralds need an rng"):
+        statevector_verify(
+            code,
+            HeraldPattern.from_indices([0], code),
+            np.eye(2),
+            LogicalState(1.0, 0.0),
+            outcomes=(1,),
+        )
 
 
 def test_verifier_rejects_unrecoverable_patterns():
