@@ -41,6 +41,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -92,7 +93,7 @@ def _read_config(path: str, subcommand: str) -> dict:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise InputDataError(f"malformed config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputDataError(f"config {path} must hold a JSON object")
@@ -299,9 +300,10 @@ class _Table:
 def _render(subcommand: str, params: dict, table: _Table) -> list[tuple]:
     """Every output of a run as (flag, path, text), in write order.
 
-    Nothing is written here, so a usage error leaves no output.  The table's
-    path is None when it goes to stdout; it then comes last, so a failed file
-    write leaves stdout empty.
+    Nothing is written here, so a usage error leaves no output; two file
+    outputs that resolve to one path are a usage error.  The table's path is
+    None when it goes to stdout; it then comes last, so a failed file write
+    leaves stdout empty.
     """
     columns = table.columns
     if params["format"] != "json":
@@ -341,6 +343,12 @@ def _render(subcommand: str, params: dict, table: _Table) -> list[tuple]:
         outputs.append(("--svg", params["svg"], buf.getvalue()))
     if params["dump_config"]:
         outputs.append(("--dump-config", params["dump_config"], _dump(subcommand, params)))
+    named = {}
+    for flag, path, _ in outputs:
+        if path is not None:
+            first, spelling = named.setdefault(os.path.realpath(path), (flag, path))
+            if first != flag:
+                raise UsageError(f"{first} and {flag} name the same file {spelling}")
     return sorted(outputs, key=lambda output: output[1] is None)
 
 

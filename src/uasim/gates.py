@@ -122,35 +122,24 @@ def single_qubit_matrix(p: GateParams, deltas: np.ndarray | None = None) -> np.n
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Distribution of the additive parameter offsets delta.
+    """Distribution of the additive parameter offsets delta: a finite,
+    non-negative variance nu and a kind.
 
     kind:
         ``gaussian``     N(0, variance); fourth moment 3 nu^2.
         ``uniform``      uniform on [-sqrt(3 nu), +sqrt(3 nu)] (matched variance).
-        ``four-moment``  symmetric three-point distribution hitting a prescribed
-                         fourth moment m4 >= nu^2, the one kind that takes one;
-                         by default m4 = nu^2, the two-point +/- sqrt(nu) law
+        ``four-moment``  the two-point law +/- sqrt(nu), fourth moment nu^2,
                          that Type-II fusion assumes.
     """
 
     variance: float
     kind: str = "gaussian"
-    fourth_moment: float | None = None
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError("variance must be finite and non-negative")
         if self.kind not in ("gaussian", "uniform", "four-moment"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "four-moment" and self.fourth_moment is not None:
-            raise ValueError(f"{self.kind} noise takes no fourth moment")
-        if self.kind == "four-moment":
-            # the rounded square, which pow (``**``) can miss by an ulp
-            nu2 = self.variance * self.variance
-            if self.fourth_moment is None:
-                object.__setattr__(self, "fourth_moment", nu2)
-            if self.variance > 0 and self.fourth_moment < nu2:
-                raise ValueError("fourth moment must be >= variance^2")
 
 
 def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray:
@@ -180,9 +169,12 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
         u -= 1.0
         u *= half
         return u
-    # three-point: +/- a with probability p each, 0 otherwise
-    a = math.sqrt(noise.fourth_moment / nu)
-    p = nu**2 / (2.0 * noise.fourth_moment)
+    # two-point: +/- a with probability p each.  At m4 = nu * nu these are
+    # sqrt(nu) and 1/2 in exact arithmetic; the expressions fix their floats
+    # (math.sqrt(nu) and 0.5 can differ by an ulp), and with them the draws.
+    m4 = nu * nu
+    a = math.sqrt(m4 / nu)
+    p = nu**2 / (2.0 * m4)
     out = np.zeros(shape)
     out[u < p] = -a
     out[u > 1.0 - p] = a

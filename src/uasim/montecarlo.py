@@ -423,38 +423,33 @@ def estimate_fusion(
     *,
     seed: int,
     layout: str = "type2",
-    kind: str | None = None,
-    single_photon_mode: int = 0,
     photon_pair: tuple[int, int] = (0, 2),
     chunk_size: int = 16384,
 ) -> FusionRunResult:
     """Per-photon and two-photon measures of the averaged fusion network.
 
-    ``layout`` selects the noisy parameterization: ``type2`` jitters the four
-    splitter angles (two per path), ``four-mode`` jitters all twenty block
-    parameters (six per path).  The per-photon run sends one photon into
-    ``single_photon_mode``; the two-photon run sends the pair ``photon_pair``.
+    ``layout`` selects the noisy parameterization and its noise: ``type2``
+    jitters the four splitter angles (two per path) with the two-point
+    +/- sqrt(nu) offsets of the Type-II analysis, ``four-mode`` jitters all
+    twenty block parameters (six per path) with gaussian ones.  The
+    per-photon run sends one photon into mode 0; the two-photon run sends
+    the pair ``photon_pair``.
     """
     if num_copies < 1:
         raise ValueError("num_copies must be at least 1")
-    if layout not in ("type2", "four-mode"):
+    if layout == "type2":
+        kind, shape, build = "four-moment", (num_copies, 4), fusion_type2_matrix
+    elif layout == "four-mode":
+        kind, shape, build = "gaussian", (num_copies, 4, 5), four_mode_matrix
+    else:
         raise ValueError(f"unknown layout {layout!r}")
-    if not 0 <= single_photon_mode < 4:
-        raise ValueError(f"mode index out of range in {single_photon_mode=}")
-    if kind is None:
-        kind = "four-moment" if layout == "type2" else "gaussian"
     noise = NoiseSpec(nu, kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
-    psi[single_photon_mode] = 1.0
+    psi[0] = 1.0
     target1 = ideal @ psi
     s_in = pair_state(photon_pair[0], photon_pair[1], 4)
     s_target = evolve_pair(ideal, s_in)
-
-    if layout == "type2":
-        shape, build = (num_copies, 4), fusion_type2_matrix
-    else:
-        shape, build = (num_copies, 4, 5), four_mode_matrix
 
     def run_block(idx: int, lo: int, n: int, count: int):
         avg = build(deltas=draw(idx, lo, n)).mean(axis=1)

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 import uasim
 from uasim import cli
 from uasim.cli import main
+from uasim.averaging import encoder_error_scaling
 from uasim.formulas import effective_rates
 from uasim.ftregion import load_synthetic_curve
+from uasim.gates import named_gate, single_qubit_matrix
 
 
 @pytest.fixture
@@ -117,6 +119,9 @@ def bad(case_id, *argv, message="uasim:"):
     return pytest.param(argv, message, id=case_id)
 
 
+ENCODE_Z = ("encode-check", "--levels", "1", "--delta-theta", "1e-3,1e-4", "--seed", "1",
+            "--gate", "Z", "--alpha", "0.3")
+
 # 2**40 copies: the noise draw is larger than any address space, so the
 # allocation fails at once and nothing is committed.  The grid stops at that
 # first point and names it, not the largest N of the grid.
@@ -169,6 +174,26 @@ PARITY_OVERFLOW = "uasim: --n and --q are too large for float arithmetic"
             message=PARITY_OVERFLOW),
         bad("parity-q-overflow", "parity", "--n", "2", "--q", str(10**400), "--p", "0.1",
             message=PARITY_OVERFLOW),
+        bad("encode-z-without-alpha", *ENCODE_Z[:-2],
+            message="uasim: Z gate needs an alpha phase"),
+        bad("encode-alpha-on-h", *ENCODE_Z[:-3], "H", "--alpha", "0.3",
+            message="uasim: gate 'H' takes no alpha"),
+        bad("encode-unknown-gate", *ENCODE_Z[:-3], "Q", message="uasim: unknown gate 'Q'"),
+        bad("encode-alpha-list", *ENCODE_Z[:-1], "0.3,0.4",
+            message="uasim: --alpha expects one number"),
+        # without the '=' argparse reads -1e-3,1e-4 as an option
+        bad("encode-delta-negative", "encode-check", "--levels", "1",
+            "--delta-theta=-1e-3,1e-4", "--seed", "1",
+            message="uasim: --delta-theta values must be positive"),
+        bad("mc-one-sample", "mc", "--nu", "0.01", "--big-n", "2", "--samples", "1",
+            "--seed", "1", message="uasim: --samples must be at least 2, got 1"),
+        bad("mc-samples-text", "mc", "--nu", "0.01", "--big-n", "2", "--samples", "abc",
+            "--seed", "1", message="uasim: --samples expects a whole number"),
+        bad("mc-seed-negative", "mc", "--nu", "0.01", "--big-n", "2", "--samples", "100",
+            "--seed=-1", message="uasim: --seed must be at least 0, got -1"),
+        bad("analytic-normalization", "analytic", "--formula", "fidelity-single",
+            "--nu", "0.7", "--big-n", "1",
+            message="uasim: --nu 0.7 at N = 1: normalization is non-positive"),
     ],
 )
 def test_bad_numbers_are_usage_errors(run, argv, message):
@@ -484,6 +509,30 @@ def test_encode_check_unplottable_svg_is_a_usage_error(run, tmp_path):
     assert not table.exists() and not dump.exists()
 
 
+def test_encode_check_z_gate_is_the_library_s(run):
+    # the CLI's only route to the Z family
+    code, out, err = run(*ENCODE_Z, "--format", "json")
+    assert code == 0, err
+    expected = encoder_error_scaling(
+        [single_qubit_matrix(named_gate("Z", 0.3))] * 2, [1e-3, 1e-4], pattern_seed=1
+    )
+    assert [r["deviation"] for r in json.loads(out)["rows"]] == expected.tolist()
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("encode-check", "--levels", "1,2", "--delta-theta", "1e-3,1e-4", "--seed", "1"), 2),
+    (("parity", "--n", "1", "--q", "1", "--p", "0.2"), 1),
+], ids=["log-axes", "one-point-series"])
+def test_svg_draws_one_polyline_per_series(run, tmp_path, argv, lines):
+    charts = []
+    for name in ("a.svg", "b.svg"):
+        code, _, err = run(*argv, "--svg", str(tmp_path / name))
+        assert code == 0, err
+        charts.append((tmp_path / name).read_bytes())
+    assert charts[0].count(b"<polyline ") == lines
+    assert charts[0] == charts[1]
+
+
 def test_encode_check_validates_levels(run):
     code, _, err = run(
         "encode-check", "--levels", "9", "--delta-theta", "1e-3,1e-4", "--seed", "5",
@@ -673,6 +722,49 @@ def test_malformed_config_is_an_input_error(run, tmp_path):
     assert code == 3
     code, _, _ = run("analytic", "--config", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("deep.json", "[" * 100_000 + "]" * 100_000, ("parity", "--config"),
+     "malformed config"),
+    ("big.json", '{"n": ' + "9" * 5000 + "}", ("parity", "--config"), "malformed config"),
+    ("list.json", "[1, 2]", ("parity", "--config"), "must hold a JSON object"),
+    ("curve.csv", "# one comment\n# and another\n",
+     ("ft-region", "--epsilon", "1e-3", "--gamma", "1e-3", "--big-n", "1", "--curve"),
+     "missing 'epsilon,gamma' header"),
+], ids=["config-deep-nesting", "config-huge-integer", "config-not-an-object",
+        "curve-comments-only"])
+def test_malformed_input_files_are_input_errors(run, tmp_path, name, text, argv, message):
+    path = tmp_path / name
+    path.write_text(text)
+    # pin the digit limit json enforces, so no case depends on PYTHONINTMAXSTRDIGITS
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(*argv, str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    assert err.startswith("uasim: ") and message in err
+    assert err.count("\n") == 1
+
+
+# in the order _render makes the outputs, which the message follows
+@pytest.mark.parametrize("first, second", [
+    ("--report", "--out"), ("--report", "--svg"), ("--report", "--dump-config"),
+    ("--out", "--svg"), ("--out", "--dump-config"), ("--svg", "--dump-config"),
+])
+def test_two_destinations_naming_one_file_are_a_usage_error(run, tmp_path, monkeypatch,
+                                                            first, second):
+    monkeypatch.chdir(tmp_path)
+    # three noisy points, so --report has a discrimination to write
+    code, out, err = run(
+        "mc", "--nu", "0.005,0.01,0.02", "--big-n", "2", "--samples", "500", "--seed", "3",
+        first, "d.out", second, str(tmp_path / "." / "d.out"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"uasim: {first} and {second} name the same file d.out\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_file_and_svg(run, tmp_path):

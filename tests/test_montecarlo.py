@@ -143,9 +143,11 @@ def test_argument_validation():
     for pair in ((0, 4), (-1, 0)):
         with pytest.raises(ValueError, match="mode index out of range"):
             estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
-    for mode in (4, -1):
-        with pytest.raises(ValueError, match="mode index out of range"):
-            estimate_fusion(0.01, 2, 100, seed=1, single_photon_mode=mode)
+    # an infinite variance would give a per-photon P_s of 1.0 with stderr 0.0
+    with pytest.raises(ValueError, match="finite"):
+        estimate_fusion(math.inf, 2, 100, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_fidelity(math.nan, 2, 100, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +388,14 @@ def fidelity_one_block(
 
 
 def fusion_one_block(
-    nu, num_copies, samples, *, seed, layout="type2", kind=None,
-    single_photon_mode=0, photon_pair=(0, 2), chunk_size=16384,
+    nu, num_copies, samples, *, seed, layout="type2", photon_pair=(0, 2),
+    chunk_size=16384,
 ):
     """``estimate_fusion`` with each chunk drawn and computed as one block."""
-    if kind is None:
-        kind = "four-moment" if layout == "type2" else "gaussian"
-    noise = NoiseSpec(nu, kind)
+    noise = NoiseSpec(nu, "four-moment" if layout == "type2" else "gaussian")
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
-    psi[single_photon_mode] = 1.0
+    psi[0] = 1.0
     target1 = ideal @ psi
     s_in = pair_state(photon_pair[0], photon_pair[1], 4)
     s_target = evolve_pair(ideal, s_in)
@@ -453,31 +453,19 @@ def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(gate, input_state, 
      (2, 2051, 1025)],
     ids=["1", "3", "2-513", "2-1025", "2-1025-tail1"],
 )
-@pytest.mark.parametrize(
-    "pair, mode", [((0, 2), 0), ((1, 1), 2)], ids=["pair02-mode0", "pair11-mode2"]
-)
-def test_fusion_equals_one_block_bit_for_bit(
-    layout, num_copies, samples, chunk_size, pair, mode
-):
+# the ids name the pair and the single photon's mode, which is always 0
+@pytest.mark.parametrize("pair", [(0, 2), (1, 1)], ids=["pair02-mode0", "pair11-mode0"])
+def test_fusion_equals_one_block_bit_for_bit(layout, num_copies, samples, chunk_size, pair):
     # The overlap is taken in parts of at most 512 rows.  Chunks of 513 and
     # 1025 sit one row past a multiple of 512, where cutting off 512-row
     # parts would leave a one-row tail for BLAS dot.  2051 samples at 1025
     # end in a one-sample chunk, which goes to dot in the reference too.
     kw = dict(
-        seed=53 + num_copies, layout=layout, photon_pair=pair,
-        single_photon_mode=mode, chunk_size=chunk_size,
+        seed=53 + num_copies, layout=layout, photon_pair=pair, chunk_size=chunk_size
     )
     assert estimate_fusion(0.01, num_copies, samples, **kw) == fusion_one_block(
         0.01, num_copies, samples, **kw
     )
-
-
-def test_fusion_noise_kinds_equal_one_block_bit_for_bit():
-    for kind in ("gaussian", "uniform", "four-moment"):
-        kw = dict(seed=59, kind=kind, chunk_size=5000)
-        assert estimate_fusion(0.01, 2, 9_001, **kw) == fusion_one_block(
-            0.01, 2, 9_001, **kw
-        )
 
 
 SPIN_SETTLE = """
