@@ -17,10 +17,10 @@ encoder.
 
 ``mc`` samples its (nu, N) grid through ``montecarlo.grid_estimates`` for
 every gate family: one loop, nu-major, one derived seed per point.  A family
-is one entry of ``_MC_FAMILIES``: its two Monte Carlo columns and the
-``_FORMULAS`` id whose variants give the law columns.  Every law of the grid
-is checked before the first point is sampled, and a point whose noise draw
-does not fit in memory is named by its own N.
+is one entry of ``gates.FAMILIES``: its rails pick the estimator and the two
+Monte Carlo columns, and ``_MC_LAWS`` the ``_FORMULAS`` id of the law columns.
+Every law of the grid is checked before the first point is sampled, and a
+point whose noise draw does not fit in memory is named by its own N.
 
 The parser is built on the first ``main`` call, not at import, and reused by
 every later call in the process; it keeps no per-call state, so a call gives
@@ -56,7 +56,7 @@ from .ftregion import (
     load_synthetic_curve,
     sweep_region,
 )
-from .gates import named_gate, single_qubit_matrix
+from .gates import FAMILIES, named_gate, single_qubit_matrix
 from .montecarlo import discriminate, estimate_fusion, grid_estimates
 from .parity import ParityCode, logical_success_prob
 from .svgplot import write_line_chart
@@ -432,21 +432,16 @@ def _series_by(rows, *, key, x, y):
     return [(label, xs, ys) for label, (xs, ys) in order.items()]
 
 
-# Per gate family: the two Monte Carlo columns after mc_mean and mc_stderr,
-# and the _FORMULAS id whose variants give the law columns.
-_MC_FAMILIES = {
-    "single-qubit": (("mc_fidelity", "mc_fidelity_stderr"), "ps-single"),
-    "type2": (("mc_pair_mean", "mc_pair_stderr"), "ps-type2"),
-    "four-mode": (("mc_pair_mean", "mc_pair_stderr"), "ps-four-mode"),
-}
+# Per gate family of gates.FAMILIES, the _FORMULAS id whose variants give the
+# law columns.
+_MC_LAWS = {"single-qubit": "ps-single", "type2": "ps-type2", "four-mode": "ps-four-mode"}
 
 
 def cmd_mc(p: dict) -> _Table:
     """Monte Carlo success probabilities beside every analytic variant."""
     family = p["family"] or "single-qubit"
     seed, samples, nus, copies = p["seed"], p["samples"], p["nu"], p["big_n"]
-    pair_columns, formula_id = _MC_FAMILIES[family]
-    func, variants = _FORMULAS[formula_id]
+    func, variants = _FORMULAS[_MC_LAWS[family]]
     law_columns = ({v.replace("-", "_"): [v] for v in variants} if variants
                    else {"analytic": []})
     # every law of the grid is checked before the first point is sampled
@@ -454,9 +449,11 @@ def cmd_mc(p: dict) -> _Table:
         (nu, big_n): {col: _law(func, nu, big_n, *v) for col, v in law_columns.items()}
         for nu in nus for big_n in copies
     }
-    estimator = None  # grid_estimates runs estimate_fidelity
-    if family != "single-qubit":
+    if FAMILIES[family].rails == 2:  # grid_estimates runs estimate_fidelity
+        estimator, pair_columns = None, ("mc_fidelity", "mc_fidelity_stderr")
+    else:
         estimator = functools.partial(estimate_fusion, layout=family)
+        pair_columns = ("mc_pair_mean", "mc_pair_stderr")
 
     rows, usable = [], []
     try:
@@ -654,7 +651,7 @@ _SUBCOMMANDS = {
         **_COMMON,
     }),
     "mc": (cmd_mc, "Monte Carlo success probabilities", ("nu", "big_n", "samples", "seed"), {
-        "family": (_choice(*_MC_FAMILIES), "single-qubit (default), type2 or four-mode"),
+        "family": (_choice(*FAMILIES), "single-qubit (default), type2 or four-mode"),
         "nu": (_parse_floats, "variance grid (repeat or comma-list)"),
         "big_n": (_parse_copies, "copy counts, powers of two"),
         "samples": (_whole(2), "samples per grid point"),

@@ -8,10 +8,11 @@ side behind a ``variant`` switch instead of being merged.
 
 The postselection laws truncate the exact ensemble law
 P_s = 1/N + (1 - 1/N) c^(2d), c = E[cos delta], for independent offsets of
-variance nu on the d noisy parameters of a path (d = 3 single-qubit, 2 type-II
-fusion, 6 four-mode): gaussian offsets give c = exp(-nu/2), two-point offsets
-+-sqrt(nu) give c = cos(sqrt(nu)).  Each coefficient of that law carries a
-factor (1 - 1/N), so a term without it matches no noise model.
+variance nu on the d noisy parameters of a path (each family's depth in
+``gates.FAMILIES``: 3 single-qubit, 2 type-II fusion, 6 four-mode): gaussian
+offsets give c = exp(-nu/2), two-point offsets +-sqrt(nu) give
+c = cos(sqrt(nu)).  Each coefficient of that law carries a factor (1 - 1/N),
+so a term without it matches no noise model.
 """
 
 from __future__ import annotations

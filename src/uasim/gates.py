@@ -16,24 +16,23 @@ entry as the product along its one path through the two block layers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "GateParams",
     "NoiseSpec",
-    "GATE_DEPTHS",
+    "Family",
+    "FAMILIES",
     "named_gate",
     "single_qubit_matrix",
     "sample_deltas",
     "fusion_type2_matrix",
     "four_mode_matrix",
 ]
-
-# Per-path noisy-parameter counts for the gate families.
-GATE_DEPTHS = {"single-qubit": 3, "four-mode": 6, "type2": 2}
-
 
 @dataclass(frozen=True)
 class GateParams:
@@ -172,9 +171,12 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
     # two-point: +/- a with probability p each.  At m4 = nu * nu these are
     # sqrt(nu) and 1/2 in exact arithmetic; the expressions fix their floats
     # (math.sqrt(nu) and 0.5 can differ by an ulp), and with them the draws.
+    # Where nu * nu is subnormal, 0 or infinite they lose their digits,
+    # divide by zero or overflow, and the exact values stand.
     m4 = nu * nu
-    a = math.sqrt(m4 / nu)
-    p = nu**2 / (2.0 * m4)
+    a, p = math.sqrt(nu), 0.5
+    if sys.float_info.min <= m4 < math.inf:
+        a, p = math.sqrt(m4 / nu), nu**2 / (2.0 * m4)
     out = np.zeros(shape)
     out[u < p] = -a
     out[u > 1.0 - p] = a
@@ -262,3 +264,39 @@ def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     np.add(p.real * q.imag, p.imag * q.real, out=m.imag)
     m += 0.0
     return m.reshape(lead + (4, 4))
+
+
+# ---------------------------------------------------------------------------
+# gate families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """What one gate family is; ``FAMILIES``, the one place a family is
+    defined, holds one per family.
+
+    rails    modes the gate acts on: 2 for the single-qubit gate, 4 for the
+             fusion networks
+    depth    noisy parameters on each input-output path, the d of the laws
+             in ``formulas``
+    offsets  shape of one copy's parameter offsets
+    kind     the ``NoiseSpec`` kind of those offsets
+    build    the batched builder: offsets of shape (..., *offsets) to a stack
+             of matrices (the single-qubit builder takes its ``GateParams``
+             first)
+    """
+
+    rails: int
+    depth: int
+    offsets: tuple[int, ...]
+    kind: str
+    build: Callable[..., np.ndarray]
+
+
+# Keyed by the names ``uasim mc --family`` takes, in the order it lists them.
+FAMILIES = {
+    "single-qubit": Family(2, 3, (5,), "gaussian", single_qubit_matrix),
+    "type2": Family(4, 2, (4,), "four-moment", fusion_type2_matrix),
+    "four-mode": Family(4, 6, (4, 5), "gaussian", four_mode_matrix),
+}

@@ -76,11 +76,10 @@ from .formulas import (
     success_prob_single,
 )
 from .gates import (
-    GATE_DEPTHS,
+    FAMILIES,
     GateParams,
     NoiseSpec,
     _expi,
-    four_mode_matrix,
     fusion_type2_matrix,
     named_gate,
     sample_deltas,
@@ -428,22 +427,19 @@ def estimate_fusion(
 ) -> FusionRunResult:
     """Per-photon and two-photon measures of the averaged fusion network.
 
-    ``layout`` selects the noisy parameterization and its noise: ``type2``
-    jitters the four splitter angles (two per path) with the two-point
-    +/- sqrt(nu) offsets of the Type-II analysis, ``four-mode`` jitters all
-    twenty block parameters (six per path) with gaussian ones.  The
-    per-photon run sends one photon into mode 0; the two-photon run sends
-    the pair ``photon_pair``.
+    ``layout`` names a four-rail entry of ``gates.FAMILIES``, whose record
+    gives the noisy parameterization and its noise: ``type2`` jitters the
+    four splitter angles (two per path) with the two-point +/- sqrt(nu)
+    offsets of the Type-II analysis, ``four-mode`` jitters all twenty block
+    parameters (six per path) with gaussian ones.  The per-photon run sends
+    one photon into mode 0; the two-photon run sends the pair ``photon_pair``.
     """
     if num_copies < 1:
         raise ValueError("num_copies must be at least 1")
-    if layout == "type2":
-        kind, shape, build = "four-moment", (num_copies, 4), fusion_type2_matrix
-    elif layout == "four-mode":
-        kind, shape, build = "gaussian", (num_copies, 4, 5), four_mode_matrix
-    else:
+    family = FAMILIES.get(layout)
+    if family is None or family.rails != 4:
         raise ValueError(f"unknown layout {layout!r}")
-    noise = NoiseSpec(nu, kind)
+    noise = NoiseSpec(nu, family.kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
@@ -452,7 +448,7 @@ def estimate_fusion(
     s_target = evolve_pair(ideal, s_in)
 
     def run_block(idx: int, lo: int, n: int, count: int):
-        avg = build(deltas=draw(idx, lo, n)).mean(axis=1)
+        avg = family.build(deltas=draw(idx, lo, n)).mean(axis=1)
         out1 = avg @ psi
         s_out = evolve_pair(avg, s_in)
         return (
@@ -471,6 +467,7 @@ def estimate_fusion(
         a1 = np.concatenate([part @ np.conj(target1) for part in parts])
         return [(a1, p1), (a2, p2)]
 
+    shape = (num_copies, *family.offsets)
     draw = _block_draw(seed, _STREAM_GATES, partial(sample_deltas, noise), shape)
     return FusionRunResult(
         *_sweep(samples, chunk_size, _FUSION_SAMPLES_PER_BLOCK, run_block, series)
@@ -492,7 +489,7 @@ def discriminate(points: Sequence[dict]) -> dict:
     """
     if len(points) < 3:
         raise ValueError("need at least three grid points")
-    depth = GATE_DEPTHS["single-qubit"]
+    depth = FAMILIES["single-qubit"].depth
     rows = []
     for pt in points:
         nu = float(pt["nu"])

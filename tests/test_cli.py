@@ -6,6 +6,7 @@ the normal emit path, so byte-level determinism checks are meaningful.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from uasim.cli import main
 from uasim.averaging import encoder_error_scaling
 from uasim.formulas import effective_rates
 from uasim.ftregion import load_synthetic_curve
-from uasim.gates import named_gate, single_qubit_matrix
+from uasim.gates import FAMILIES, named_gate, single_qubit_matrix
 
 
 @pytest.fixture
@@ -205,9 +206,10 @@ def test_bad_numbers_are_usage_errors(run, argv, message):
     assert out == ""
 
 
+# name None stands for the family's builder, which its record holds
 @pytest.mark.parametrize("family, name", [
     pytest.param("single-qubit", "_batched_single_qubit_out", id="single-qubit"),
-    pytest.param("type2", "fusion_type2_matrix", id="type2"),
+    pytest.param("type2", None, id="type2"),
     pytest.param("single-qubit", "sample_deltas", id="sample_deltas"),
 ])
 def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family, name):
@@ -215,7 +217,7 @@ def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family
     thread exits 2 and names the point's N."""
     from uasim import montecarlo
 
-    fn = getattr(montecarlo, name)
+    fn = getattr(montecarlo, name) if name else FAMILIES[family].build
 
     def out_of_memory_on_noisy_blocks(*args, **kwargs):
         # the noiseless fusion target is built on the calling thread
@@ -223,7 +225,11 @@ def test_memory_error_in_a_pool_worker_is_a_usage_error(run, monkeypatch, family
             return fn(*args, **kwargs)
         raise MemoryError
 
-    monkeypatch.setattr(montecarlo, name, out_of_memory_on_noisy_blocks)
+    if name:
+        monkeypatch.setattr(montecarlo, name, out_of_memory_on_noisy_blocks)
+    else:
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(
+            FAMILIES[family], build=out_of_memory_on_noisy_blocks))
     code, out, err = run(
         "mc", "--family", family, "--nu", "0.01", "--big-n", "2", "--samples", "10000",
         "--seed", "1",
@@ -453,6 +459,30 @@ def test_mc_rejects_non_power_of_two(run):
     code, _, err = run("mc", "--nu", "0.01", "--big-n", "3", "--samples", "100", "--seed", "1")
     assert code == 2
     assert "power of two" in err
+
+
+def test_mc_has_a_law_and_a_golden_row_for_every_family():
+    """``gates.FAMILIES`` defines the families; the CLI's law table lists the
+    same ones in the same order, which is the order ``--family`` names them,
+    and so does the flag's help."""
+    assert list(cli._MC_LAWS) == list(FAMILIES)
+    assert sorted(MC_GOLDEN) == sorted(FAMILIES)
+    help_text = cli._SUBCOMMANDS["mc"][3]["family"][1]
+    assert all(name in help_text for name in FAMILIES)
+    assert sorted(FAMILIES, key=help_text.find) == list(FAMILIES)
+
+
+# nu * nu is 0 at the first three and subnormal at the last, where the
+# two-point offsets' expressions divided by zero.
+@pytest.mark.parametrize("nu", ["5e-324", "1e-200", "1e-170", "1e-160"])
+def test_mc_type2_runs_where_the_variance_squared_underflows(run, nu):
+    code, out, err = run(
+        "mc", "--family", "type2", "--nu", nu, "--big-n", "2", "--samples", "100",
+        "--seed", "1",
+    )
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    assert float(row[3]) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import uasim
 from uasim.gates import (
-    GATE_DEPTHS,
+    FAMILIES,
     GateParams,
     NoiseSpec,
     four_mode_matrix,
@@ -138,6 +138,52 @@ def test_four_moment_defaults_to_the_two_point_law(nu):
     assert set(np.unique(d)) == {-math.sqrt(nu), math.sqrt(nu)}
 
 
+def _two_point_reference(nu, shape, rng):
+    """The two-point draw by the expressions ``sample_deltas`` keeps where
+    nu * nu is a normal float."""
+    u = rng.random(shape)
+    m4 = nu * nu
+    a = math.sqrt(m4 / nu)
+    p = nu**2 / (2.0 * m4)
+    out = np.zeros(shape)
+    out[u < p] = -a
+    out[u > 1.0 - p] = a
+    return out
+
+
+# The smallest and largest nu whose squares are normal floats: one ulp
+# below the first the square is subnormal, one ulp above the second infinite.
+SMALLEST_NORMAL_SQUARE = math.sqrt(sys.float_info.min)
+LARGEST_FINITE_SQUARE = math.sqrt(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [SMALLEST_NORMAL_SQUARE, 1e-150, 0.42672114373024106, 0.029724695889211672,
+     LARGEST_FINITE_SQUARE],
+)
+def test_two_point_draws_keep_their_bytes_where_the_square_is_normal(nu):
+    assert sys.float_info.min <= nu * nu < math.inf
+    got = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(5))
+    want = _two_point_reference(nu, (4096,), np.random.default_rng(5))
+    assert got.tobytes() == want.tobytes()
+
+
+# nu * nu is 0 at the first two, subnormal at the next two and infinite at
+# the last, where the expressions above divide by zero, lose their digits or
+# overflow.
+@pytest.mark.parametrize(
+    "nu", [5e-324, 1e-170, 1e-160, math.nextafter(SMALLEST_NORMAL_SQUARE, 0.0), 1e200]
+)
+def test_two_point_offsets_survive_a_square_out_of_the_normal_range(nu):
+    assert not sys.float_info.min <= nu * nu < math.inf
+    d = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(5))
+    a = math.sqrt(nu)
+    assert a > 0.0
+    assert set(np.unique(d)) <= {-a, 0.0, a}
+    assert {-a, a} <= set(np.unique(d))
+
+
 def test_two_point_distribution_is_pure_sign_flip():
     nu = 0.01
     d = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(3))
@@ -247,7 +293,17 @@ def test_four_mode_gate_has_the_bits_of_its_layer_product():
 
 
 def test_path_parameter_counts():
-    assert GATE_DEPTHS == {"single-qubit": 3, "four-mode": 6, "type2": 2}
+    depths = {name: family.depth for name, family in FAMILIES.items()}
+    assert depths == {"single-qubit": 3, "four-mode": 6, "type2": 2}
+
+
+def test_each_family_names_its_noise_kind_and_builder():
+    got = {name: (family.kind, family.build) for name, family in FAMILIES.items()}
+    assert got == {
+        "single-qubit": ("gaussian", single_qubit_matrix),
+        "type2": ("four-moment", fusion_type2_matrix),
+        "four-mode": ("gaussian", four_mode_matrix),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +315,28 @@ def _single_qubit_builders():
     rng = np.random.default_rng(31)
     named = [named_gate(g) for g in ("I", "X", "Y", "H")] + [named_gate("Z", 0.3)]
     randoms = [GateParams(*rng.uniform(-3, 3, size=5)) for _ in range(50)]
-    return [partial(single_qubit_matrix, p) for p in named + randoms]
+    return [partial(FAMILIES["single-qubit"].build, p) for p in named + randoms]
 
 
-# family -> (offset shape, builders taking only ``deltas``); a two-qubit
-# network has one nominal setting, and any other is an offset.
+# family -> builders taking only ``deltas``; a two-qubit network has one
+# nominal setting, and any other is an offset.
 SCALAR_AND_BATCHED = {
-    "single-qubit": ((5,), _single_qubit_builders()),
-    "type2": ((4,), [fusion_type2_matrix]),
-    "four-mode": ((4, 5), [four_mode_matrix]),
+    "single-qubit": _single_qubit_builders(),
+    "type2": [FAMILIES["type2"].build],
+    "four-mode": [FAMILIES["four-mode"].build],
 }
 
 
-@pytest.mark.parametrize("family", sorted(SCALAR_AND_BATCHED))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_scalar_builder_is_the_zero_delta_batch_bit_for_bit(family):
-    delta_shape, builders = SCALAR_AND_BATCHED[family]
+    """Each record's builder takes offsets of the record's shape and gives
+    matrices of its rails; the scalar gate is the empty batch."""
+    rails, delta_shape = FAMILIES[family].rails, FAMILIES[family].offsets
+    builders = SCALAR_AND_BATCHED[family]
     rng = np.random.default_rng(37)
     for build in builders:
         single = build()
-        assert single.shape == ((2, 2) if family == "single-qubit" else (4, 4))
+        assert single.shape == (rails, rails)
         for lead in ((3,), (2, 3)):
             stack = build(np.zeros(lead + delta_shape))
             assert stack.shape == lead + single.shape

@@ -2,16 +2,16 @@
 
 Statistical assertions compare against closed-form ensemble averages that can
 be computed exactly for the sampled noise models (independent phase offsets
-factorize):
+factorize).  For a family of depth d (``gates.FAMILIES``), ``exact_ps`` gives
 
-  single-qubit, gaussian    P = 1/N + (1 - 1/N) exp(-3 nu)
-  fusion, two-point         P = 1/N + (1 - 1/N) cos^4(sqrt(nu))
-  four-mode, gaussian       P = 1/N + (1 - 1/N) exp(-6 nu)
+  P = 1/N + (1 - 1/N) c^(2d),  c = E[cos delta],
 
-Bands are 5 standard errors around those values with seeds frozen, so the
-tests are deterministic.
+with c = exp(-nu/2) for gaussian offsets and cos(sqrt(nu)) for the two-point
+ones.  Bands are 5 standard errors around those values with seeds frozen, so
+the tests are deterministic.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -36,8 +36,8 @@ from uasim.averaging import (
     pair_state,
 )
 from uasim.gates import (
+    FAMILIES,
     NoiseSpec,
-    four_mode_matrix,
     fusion_type2_matrix,
     named_gate,
     sample_deltas,
@@ -67,16 +67,19 @@ GRID_NUS = (0.005, 0.01, 0.02)
 GRID_COPIES = (2, 4, 8, 16)
 
 
-def exact_ps_single(nu, big_n):
-    return 1 / big_n + (1 - 1 / big_n) * math.exp(-3 * nu)
+def exact_ps(family, nu, big_n):
+    """The exact ensemble P_s of ``family`` from its record's depth and noise kind."""
+    record = FAMILIES[family]
+    c = {"gaussian": math.exp(-nu / 2), "four-moment": math.cos(math.sqrt(nu))}[record.kind]
+    return 1 / big_n + (1 - 1 / big_n) * c ** (2 * record.depth)
 
 
-def exact_ps_type2(nu, big_n):
-    return 1 / big_n + (1 - 1 / big_n) * math.cos(math.sqrt(nu)) ** 4
-
-
-def exact_ps_four_mode(nu, big_n):
-    return 1 / big_n + (1 - 1 / big_n) * math.exp(-6 * nu)
+def replace_build(monkeypatch, family, wrap):
+    """Run ``family``'s builder through ``wrap(builder)`` for one test.  The
+    estimators read the builder from the record, so patching the builder's
+    module attribute would not reach them."""
+    record = FAMILIES[family]
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(record, build=wrap(record.build)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +141,10 @@ def test_argument_validation():
         estimate_fidelity(0.01, 2, 100, seed=1, input_state=(0.0, 0.0))
     with pytest.raises(ValueError):
         estimate_end_to_end(0.01, 3, 100, seed=1)
-    with pytest.raises(ValueError):
-        estimate_fusion(0.01, 2, 100, seed=1, layout="type3")
+    # a layout is a four-rail family
+    for layout in ("type3", "single-qubit"):
+        with pytest.raises(ValueError, match="unknown layout"):
+            estimate_fusion(0.01, 2, 100, seed=1, layout=layout)
     for pair in ((0, 4), (-1, 0)):
         with pytest.raises(ValueError, match="mode index out of range"):
             estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
@@ -182,7 +187,7 @@ def test_single_copy_has_unit_success():
 
 def test_single_qubit_success_matches_exact_average():
     est = estimate_fidelity(0.01, 4, 200_000, seed=11).success_prob
-    assert abs(est.mean - exact_ps_single(0.01, 4)) < 5 * est.stderr
+    assert abs(est.mean - exact_ps("single-qubit", 0.01, 4)) < 5 * est.stderr
 
 
 def test_success_is_gate_and_input_independent():
@@ -190,7 +195,7 @@ def test_success_is_gate_and_input_independent():
     est = estimate_fidelity(
         0.01, 4, 200_000, seed=12, gate=named_gate("H"), input_state=(0.6, 0.8)
     ).success_prob
-    assert abs(est.mean - exact_ps_single(0.01, 4)) < 5 * est.stderr
+    assert abs(est.mean - exact_ps("single-qubit", 0.01, 4)) < 5 * est.stderr
 
 
 def test_uniform_noise_obeys_the_same_first_order_law():
@@ -203,7 +208,7 @@ def test_uniform_noise_obeys_the_same_first_order_law():
 def test_fusion_success_matches_exact_average():
     run = estimate_fusion(0.01, 2, 100_000, seed=14)
     p1 = run.per_photon.success_prob
-    assert abs(p1.mean - exact_ps_type2(0.01, 2)) < 5 * p1.stderr
+    assert abs(p1.mean - exact_ps("type2", 0.01, 2)) < 5 * p1.stderr
     # two independent photons: the pair success is the square per realization,
     # so the means agree up to the per-sample covariance
     p2 = run.two_photon.success_prob
@@ -213,28 +218,70 @@ def test_fusion_success_matches_exact_average():
 def test_four_mode_fusion_matches_exact_average():
     run = estimate_fusion(0.005, 2, 100_000, seed=15, layout="four-mode")
     p1 = run.per_photon.success_prob
-    assert abs(p1.mean - exact_ps_four_mode(0.005, 2)) < 5 * p1.stderr
+    assert abs(p1.mean - exact_ps("four-mode", 0.005, 2)) < 5 * p1.stderr
 
 
 @pytest.mark.parametrize(
-    "runner, depth, seed",
+    "family, runner, seed",
     [
-        (lambda nu, s: estimate_fidelity(nu, 2, 200_000, seed=s).success_prob, 3, 16),
-        (lambda nu, s: estimate_fusion(nu, 2, 60_000, seed=s).per_photon.success_prob, 2, 17),
+        ("single-qubit", lambda nu, s: estimate_fidelity(nu, 2, 200_000, seed=s).success_prob, 16),
+        ("type2", lambda nu, s: estimate_fusion(nu, 2, 60_000, seed=s).per_photon.success_prob, 17),
         (
+            "four-mode",
             lambda nu, s: estimate_fusion(nu, 2, 60_000, seed=s, layout="four-mode").per_photon.success_prob,
-            6,
             18,
         ),
     ],
     ids=["single-qubit", "type2", "four-mode"],
 )
-def test_first_order_deficit_counts_path_parameters(runner, depth, seed):
-    """1 - P ~ depth * nu * (1 - 1/N): the slope is the per-path parameter count."""
+def test_first_order_deficit_counts_path_parameters(family, runner, seed):
+    """1 - P ~ depth * nu * (1 - 1/N): the slope is the record's per-path parameter count."""
     nu = 1e-4
     est = runner(nu, seed)
     deficit = (1 - est.mean) / (nu * 0.5)
-    assert deficit == pytest.approx(depth, abs=0.05)
+    assert deficit == pytest.approx(FAMILIES[family].depth, abs=0.05)
+
+
+def quadrature_ps_moments(nu):
+    """E[P^k], k = 0..4, for the I gate on |0> at N = 2 with gaussian offsets.
+
+    A 6-node Gauss-Hermite rule over each copy's five offsets gives the
+    expectations.  With x the real and imaginary parts of one copy's unit
+    output, P = (1 + g) / 2 with g = x_1 . x_2, and E[g^k] is the squared
+    norm of the tensor E[x^(x)k], since the two copies are independent.
+    """
+    nodes, w = np.polynomial.hermite_e.hermegauss(6)
+    w = w / w.sum()
+    grid = np.stack(np.meshgrid(*[nodes] * 5, indexing="ij"), -1).reshape(-1, 5)
+    weights = np.prod(np.meshgrid(*[w] * 5, indexing="ij"), axis=0).reshape(-1)
+    out = single_qubit_matrix(named_gate("I"), math.sqrt(nu) * grid)[..., 0]
+    x = np.concatenate([out.real, out.imag], axis=-1)
+    eg, power = [1.0], np.ones((len(x), 1))
+    for _ in range(4):
+        power = (power[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+        tensor = weights @ power
+        eg.append(float(tensor @ tensor))
+    return [sum(math.comb(k, j) * eg[j] for j in range(k + 1)) / 2**k for k in range(5)]
+
+
+@pytest.mark.parametrize(
+    "nu, seed",
+    [(nu, 71 + 3 * i + j) for i, nu in enumerate((0.005, 0.02, 0.05)) for j in range(3)],
+)
+def test_success_stderr_matches_its_exact_value(nu, seed):
+    """stderr * sqrt(n) is the sample standard deviation s of P; it sits
+    within 5 of its own standard deviations of the exact sigma_P, with the
+    spread of s from the fourth central moment of P."""
+    n = 200_000
+    ep = quadrature_ps_moments(nu)
+    assert ep[1] == pytest.approx(exact_ps("single-qubit", nu, 2), abs=1e-12)
+    mu = ep[1]
+    var = ep[2] - mu**2
+    m4 = ep[4] - 4 * mu * ep[3] + 6 * mu**2 * ep[2] - 3 * mu**4
+    # Var(s^2) of n draws, and s = sqrt(s^2) to first order
+    sd_s = math.sqrt(m4 / n - var**2 * (n - 3) / (n * (n - 1))) / (2 * math.sqrt(var))
+    est = estimate_fidelity(nu, 2, n, seed=seed).success_prob
+    assert abs(est.stderr * math.sqrt(n) - math.sqrt(var)) < 5 * sd_s
 
 
 def test_fidelity_estimators_are_distinct():
@@ -392,7 +439,8 @@ def fusion_one_block(
     chunk_size=16384,
 ):
     """``estimate_fusion`` with each chunk drawn and computed as one block."""
-    noise = NoiseSpec(nu, "four-moment" if layout == "type2" else "gaussian")
+    family = FAMILIES[layout]
+    noise = NoiseSpec(nu, family.kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
@@ -402,13 +450,8 @@ def fusion_one_block(
 
     def chunk(idx, count):
         rng = chunk_rng(seed, _STREAM_GATES, idx)
-        if layout == "type2":
-            deltas = sample_deltas(noise, (count, num_copies, 4), rng)
-            mats = fusion_type2_matrix(deltas=deltas)
-        else:
-            deltas = sample_deltas(noise, (count, num_copies, 4, 5), rng)
-            mats = four_mode_matrix(deltas=deltas)
-        avg = mats.mean(axis=1)
+        deltas = sample_deltas(noise, (count, num_copies, *family.offsets), rng)
+        avg = family.build(deltas=deltas).mean(axis=1)
         out1 = avg @ psi
         s_out = evolve_pair(avg, s_in)
         return [
@@ -468,7 +511,15 @@ def test_fusion_equals_one_block_bit_for_bit(layout, num_copies, samples, chunk_
     )
 
 
-SPIN_SETTLE = """
+# Helpers of the spin children.  A child that sees a spin exits with its
+# case, the settle rounds it ran and each thread's CPU time, so a failure
+# shows whether an OpenBLAS helper or the main thread spent the CPU.
+SPIN_HELPERS = """
+import os
+import sys
+import threading
+import time
+
 
 def cpu_during_sleep():
     cpu = time.process_time()
@@ -476,24 +527,61 @@ def cpu_during_sleep():
     return time.process_time() - cpu
 
 
+def thread_cpu():
+    \"\"\"CPU seconds (user + system) of each thread of this process by thread
+    id, from /proc/self/task/*/stat; empty where that path is absent.\"\"\"
+    tasks = "/proc/self/task"
+    if not os.path.isdir(tasks):
+        return {}
+    tick = os.sysconf("SC_CLK_TCK")
+    times = {}
+    for tid in sorted(os.listdir(tasks), key=int):
+        try:
+            with open(f"{tasks}/{tid}/stat") as f:
+                fields = f.read().rpartition(")")[2].split()
+        except OSError:  # the thread ended
+            continue
+        times[int(tid)] = (int(fields[11]) + int(fields[12])) / tick
+    return times
+
+
+def spin_report(case, spent, rounds, before):
+    \"\"\"The failure message: ``before`` is ``thread_cpu()`` from before the sleep.\"\"\"
+    lines = [f"{case}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep, "
+             f"after {rounds} settle rounds"]
+    main = threading.get_native_id()
+    for tid, total in thread_cpu().items():
+        during = (total - before.get(tid, 0.0)) * 1e3
+        lines.append(f"  thread {tid}{' (main)' if tid == main else ''}: "
+                     f"{total:.2f} s of CPU, {during:.0f} ms of it in the sleep")
+    return "\\n".join(lines)
+
+
+def check_no_spin(case, rounds):
+    before = thread_cpu()
+    spent = cpu_during_sleep()
+    if spent >= 0.01:
+        sys.exit(spin_report(case, spent, rounds, before))
+"""
+
+SPIN_SETTLE = SPIN_HELPERS + """
+
 # OpenBLAS's helper threads spin for up to about 0.1 s after numpy is
 # imported; wait for them, so that only the estimator's spin is measured.
-for _ in range(40):
+for settle_rounds in range(1, 41):
     if cpu_during_sleep() < 0.001:
         break
 else:
-    sys.exit("the host never settled: every 50 ms sleep cost 1 ms of CPU or more")
+    before = thread_cpu()
+    sys.exit(spin_report("the host never settled", cpu_during_sleep(), settle_rounds, before))
 """
 
 SPIN_CHILD = """
-import sys
-import time
 from uasim.montecarlo import estimate_fusion
 """ + SPIN_SETTLE + """
 for layout in ("type2", "four-mode"):
     estimate_fusion(0.01, 2, 16384, seed=1, layout=layout)
-    spent = cpu_during_sleep()
-    assert spent < 0.01, f"{layout}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep"
+    check_no_spin(layout, settle_rounds)
 """
 
 
@@ -510,15 +598,27 @@ def test_fusion_leaves_no_blas_thread_spinning():
 
 
 TREE_SPIN_CHILD = """
-import sys
-import time
 from uasim.montecarlo import estimate_end_to_end
 """ + SPIN_SETTLE + """
 num_copies = int(sys.argv[1])
 estimate_end_to_end(0.01, num_copies, 2048, seed=1)
-spent = cpu_during_sleep()
-assert spent < 0.01, f"N = {num_copies}: {spent * 1e3:.1f} ms of CPU during a 50 ms sleep"
+check_no_spin(f"N = {num_copies}", settle_rounds)
 """
+
+
+def test_a_spin_report_names_its_case_rounds_and_threads():
+    helpers = {}
+    exec(SPIN_HELPERS, helpers)
+    before = helpers["thread_cpu"]()
+    report = helpers["spin_report"]("four-mode", 0.0123, 3, before).splitlines()
+    assert report[0] == "four-mode: 12.3 ms of CPU during a 50 ms sleep, after 3 settle rounds"
+    # one line per thread where /proc/self/task exists, the main one marked
+    threads = [line for line in report[1:] if line.startswith("  thread ")]
+    assert len(threads) == len(report) - 1
+    if os.path.isdir("/proc/self/task"):
+        assert [line for line in threads if f" {threading.get_native_id()} (main): " in line]
+    else:
+        assert threads == []
 
 
 @pytest.mark.parametrize("num_copies", [8, 16])
@@ -601,8 +701,8 @@ def test_a_block_draw_depends_only_on_its_position(nu, kind, shape):
     [
         ("sample_deltas", lambda: estimate_fidelity(0.01, 2, 20_000, seed=1), None),
         ("_batched_single_qubit_out", lambda: estimate_fidelity(0.01, 2, 20_000, seed=1), None),
-        ("four_mode_matrix",
-         lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), None),
+        # a family's name stands for the builder its record holds
+        ("four-mode", lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), None),
         # slices of 128 and 12 trees in the first of three 140-sample chunks
         ("build_tree", lambda: estimate_end_to_end(0.01, 4, 300, seed=1, chunk_size=140), 2),
     ],
@@ -614,14 +714,19 @@ def test_kernel_error_reaches_the_caller_and_no_thread_outlives_the_call(
     """A draw fails on a worker as a kernel does.  On the calling thread,
     where ``total`` is given, nothing is called after the failing call."""
     calls = itertools.count()
-    fn = getattr(montecarlo, name)
 
-    def fails_on_the_second_call(*args, **kwargs):
-        if next(calls) == 1:
-            raise MemoryError("second call")
-        return fn(*args, **kwargs)
+    def fails_on_the_second_call(fn):
+        def wrapped(*args, **kwargs):
+            if next(calls) == 1:
+                raise MemoryError("second call")
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, name, fails_on_the_second_call)
+        return wrapped
+
+    if name in FAMILIES:
+        replace_build(monkeypatch, name, fails_on_the_second_call)
+    else:
+        monkeypatch.setattr(montecarlo, name, fails_on_the_second_call(getattr(montecarlo, name)))
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="second call"):
@@ -674,14 +779,15 @@ def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
     runs its kernels on the calling thread and starts no thread."""
     calls = []
 
-    def record(owner, name):
-        fn = getattr(owner, name)
+    def recording(label):
+        def wrap(fn):
+            def recorded(*args, **kwargs):
+                calls.append((label, threading.get_ident()))
+                return fn(*args, **kwargs)
 
-        def recorded(*args, **kwargs):
-            calls.append((f"{owner.__name__.rpartition('.')[2]}.{name}", threading.get_ident()))
-            return fn(*args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(owner, name, recorded)
+        return wrap
 
     for owner, name in [
         (montecarlo, "sample_deltas"),
@@ -689,16 +795,17 @@ def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
         (montecarlo, "build_tree"),
         (montecarlo, "success_branch"),
         (montecarlo, "_batched_single_qubit_out"),
-        (montecarlo, "four_mode_matrix"),
     ]:
-        record(owner, name)
+        label = f"{owner.__name__.rpartition('.')[2]}.{name}"
+        monkeypatch.setattr(owner, name, recording(label)(getattr(owner, name)))
+    replace_build(monkeypatch, "four-mode", recording("four-mode.build"))
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
     me = threading.get_ident()
 
     # 5 blocks each: 4 x 4096 + 3616 samples, and 4 x 1024 + 904
     for run, kernel in [
-        (lambda: estimate_fidelity(0.01, 3, 20_000, seed=1), "_batched_single_qubit_out"),
-        (lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), "four_mode_matrix"),
+        (lambda: estimate_fidelity(0.01, 3, 20_000, seed=1), "montecarlo._batched_single_qubit_out"),
+        (lambda: estimate_fusion(0.01, 2, 5000, seed=1, layout="four-mode"), "four-mode.build"),
     ]:
         calls.clear()
         run()
@@ -708,7 +815,7 @@ def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
         # alternate a block's draw and that block's kernel
         for ident in {ident for _, ident in calls}:
             names = [name for name, i in calls if i == ident]
-            assert names == ["montecarlo.sample_deltas", f"montecarlo.{kernel}"] * (len(names) // 2)
+            assert names == ["montecarlo.sample_deltas", kernel] * (len(names) // 2)
 
     started = []
     start = threading.Thread.start
@@ -719,7 +826,7 @@ def test_blocks_draw_on_workers_and_trees_on_the_calling_thread(monkeypatch):
         (lambda: estimate_fidelity(0.01, 3, 4096, seed=1),
          {"montecarlo.sample_deltas", "montecarlo._batched_single_qubit_out"}),
         (lambda: estimate_fusion(0.01, 2, 1024, seed=1, layout="four-mode"),
-         {"montecarlo.sample_deltas", "montecarlo.four_mode_matrix"}),
+         {"montecarlo.sample_deltas", "four-mode.build"}),
         (lambda: estimate_end_to_end(
             0.01, 4, 300, seed=1, encoder_noise=EncoderNoise(1e-4), chunk_size=140),
          {"montecarlo.sample_deltas", "averaging.sample_deltas",

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import uasim
+from uasim.gates import FAMILIES
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(uasim.__path__))
 
@@ -52,12 +53,13 @@ TRACED_MC_CHILD = """
 import contextlib, io, json
 import tracing
 import uasim.cli
+from uasim.gates import FAMILIES
 
 tracer = tracing.Tracer("t")
 tracer.install()
 tracer.active = True
 codes = []
-for family in ("single-qubit", "type2"):
+for family in FAMILIES:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(uasim.cli.main(["mc", "--family", family, "--nu", "0.01",
                                      "--big-n", "1,2", "--samples", "64", "--seed", "1"]))
@@ -66,14 +68,17 @@ print(json.dumps({"codes": codes, "spans": [[s[2], s[5]] for s in tracer.spans]}
 
 
 def test_benchmark_tracer_sees_every_mc_estimator():
+    """Every family of ``gates.FAMILIES`` runs traced: the two-rail one
+    through ``estimate_fidelity``, the four-rail ones through ``estimate_fusion``."""
     proc = run_with_tracer(TRACED_MC_CHILD)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0]
+    assert got["codes"] == [0] * len(FAMILIES)
     estimators = [
         (name, attrs["N"]) for name, attrs in got["spans"] if name.startswith("montecarlo.estimate_")
     ]
     assert estimators == [
-        ("montecarlo.estimate_fidelity", 1), ("montecarlo.estimate_fidelity", 2),
-        ("montecarlo.estimate_fusion", 1), ("montecarlo.estimate_fusion", 2),
+        ("montecarlo.estimate_fidelity" if family.rails == 2 else "montecarlo.estimate_fusion", n)
+        for family in FAMILIES.values()
+        for n in (1, 2)
     ]
