@@ -156,9 +156,10 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
     if noise.kind == "gaussian":
         from scipy.special import ndtri
 
-        # ndtri maps (0,1) -> standard normal; rng.random() can return 0.0
-        # (ndtri -> -inf), so nudge into the open interval.
-        np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+        # ndtri maps (0,1) -> standard normal; rng.random() draws from [0, 1)
+        # and can return 0.0 (ndtri -> -inf), so raise the draw to at least
+        # 1e-16.  Its largest value, 1 - 2^-53, already lies below 1.
+        np.maximum(u, 1e-16, out=u)
         ndtri(u, out=u)
         u *= math.sqrt(nu)
         return u

@@ -30,6 +30,15 @@ row only when its chunk does.  Parts that small keep OpenBLAS on one thread;
 a larger gemv wakes a helper thread that then spins against the pool
 workers.
 
+The single-qubit kernel adds no term for a second input amplitude that is
+exactly 0, as in the |0> that every ``uasim mc`` single-qubit point runs.
+That term is a complex product with a zero scalar, whose components are +-0,
+and a sum or difference of +-0 and a nonzero x is exactly x; so with nonzero
+offsets every output keeps its bytes, and at nu = 0 only the sign of a zero
+component can change, which neither |.|^2 nor the moment sums see.  The
+skipped amplitude's phase offsets are still drawn, so the stream layout is
+unchanged.
+
 Estimators
 ----------
 ``estimate_fidelity``    success probability and conditional fidelity of the
@@ -297,10 +306,25 @@ def _batched_single_qubit_out(
     """Output amplitudes of noisy single-qubit gates applied to psi.
 
     ``deltas`` has shape (..., 5); both returned arrays drop that last axis.
+
+    If psi[1] is exactly 0 its term is left out, and the phase column
+    ``deltas[..., 2]`` is never read.  That term would be a complex product
+    with a zero scalar, every component +-0, and a sum or difference of +-0
+    and a nonzero x is exactly x.  So the outputs keep the two-term
+    expression's bytes wherever the kept term's components are nonzero, as
+    they are for nonzero offsets; otherwise only the sign of a zero component
+    can change.  Each kept product has the two-term expression's operands
+    on the same sides: numpy reuses a large temporary left operand as the
+    result, and with the temporary on the right a complex product can round
+    differently.
     """
     th = base.theta + deltas[..., 0]
     s, c = np.sin(th), np.cos(th)
     u = _expi(base.phi1 + deltas[..., 1]) * psi[0]
+    if psi[1] == 0:
+        out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u)
+        out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u)
+        return out0, out1
     v = _expi(base.phi2 + deltas[..., 2]) * psi[1]
     out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u + c * v)
     out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u - s * v)

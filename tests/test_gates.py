@@ -112,6 +112,35 @@ def test_sample_deltas_is_seed_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_gaussian_draws_keep_their_bytes_with_only_a_lower_bound():
+    # The largest value rng.random returns, 1 - 2^-53, is the float that
+    # 1 - 1e-16 rounds to, so the former upper clip bound never moved a draw.
+    # A uniform buffer holding both ends of [0, 1) and a generator's draws
+    # must map to the bytes of the former two-sided clip.
+    from scipy.special import ndtri
+
+    assert 1.0 - 1e-16 == np.nextafter(1.0, 0.0) == 1.0 - 2.0**-53
+
+    def clipped(u):
+        u = np.clip(u, 1e-16, 1.0 - 1e-16)
+        return ndtri(u) * math.sqrt(0.01)
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, shape):
+            return self.u.copy().reshape(shape)
+
+    edges = np.array([0.0, 5e-324, 1e-17, 1e-16, 0.5, np.nextafter(1.0, 0.0)])
+    got = sample_deltas(NoiseSpec(0.01, "gaussian"), edges.shape, Fixed(edges))
+    assert got.tobytes() == clipped(edges).tobytes()
+    assert np.isfinite(got).all()
+    got = sample_deltas(NoiseSpec(0.01, "gaussian"), (4096, 5), np.random.default_rng(9))
+    want = clipped(np.random.default_rng(9).random((4096, 5)))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "noise, m4_expected",
     [

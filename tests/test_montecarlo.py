@@ -38,6 +38,7 @@ from uasim.averaging import (
 from uasim.gates import (
     FAMILIES,
     NoiseSpec,
+    _expi,
     fusion_type2_matrix,
     named_gate,
     sample_deltas,
@@ -412,11 +413,24 @@ def test_end_to_end_draws_each_block_at_its_position(monkeypatch, block):
 # ---------------------------------------------------------------------------
 
 
+def two_term_outputs(base, deltas, psi):
+    """The single-qubit kernel's outputs by the two-term expression, a term
+    for each input amplitude whether it is 0 or not."""
+    th = base.theta + deltas[..., 0]
+    s, c = np.sin(th), np.cos(th)
+    u = _expi(base.phi1 + deltas[..., 1]) * psi[0]
+    v = _expi(base.phi2 + deltas[..., 2]) * psi[1]
+    out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u + c * v)
+    out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u - s * v)
+    return out0, out1
+
+
 def fidelity_one_block(
     nu, num_copies, samples, *, seed, gate=None, input_state=(1.0, 0.0),
     kind="gaussian", chunk_size=DEFAULT_CHUNK,
 ):
-    """``estimate_fidelity`` with each chunk drawn and computed as one block."""
+    """``estimate_fidelity`` with each chunk drawn and computed as one block
+    by ``two_term_outputs``."""
     base = gate if gate is not None else named_gate("I")
     noise = NoiseSpec(nu, kind)
     psi = montecarlo._unit_vector(input_state, 2)
@@ -425,7 +439,7 @@ def fidelity_one_block(
     def chunk(idx, count):
         rng = chunk_rng(seed, _STREAM_GATES, idx)
         deltas = sample_deltas(noise, (count, num_copies, 5), rng)
-        out0, out1 = montecarlo._batched_single_qubit_out(base, deltas, psi)
+        out0, out1 = two_term_outputs(base, deltas, psi)
         m0 = out0.mean(axis=1)
         m1 = out1.mean(axis=1)
         a = np.conj(target[0]) * m0 + np.conj(target[1]) * m1
@@ -465,27 +479,82 @@ def fusion_one_block(
     return FusionRunResult(*one_block_sweep(samples, chunk_size, chunk))
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "uniform", "four-moment"])
+# The nu = 0 ids also cover the kernel's signed zeros: a left-out term of a
+# zero amplitude can flip the sign of a zero output component, which the
+# estimates must not see.
+@pytest.mark.parametrize(
+    "kind, nu",
+    [(kind, nu) for nu in (0.01, 0.0) for kind in ("gaussian", "uniform", "four-moment")],
+    ids=["gaussian", "uniform", "four-moment",
+         "gaussian-nu0", "uniform-nu0", "four-moment-nu0"],
+)
 @pytest.mark.parametrize("num_copies", [1, 3, 16])
-def test_fidelity_equals_one_block_bit_for_bit(kind, num_copies):
+def test_fidelity_equals_one_block_bit_for_bit(kind, nu, num_copies):
     # chunks of 4097 and a last one of 3613: every chunk ends in a partial
     # block, and so does the run
     kw = dict(seed=41 + num_copies, kind=kind, chunk_size=4097)
-    assert estimate_fidelity(0.01, num_copies, 20_001, **kw) == fidelity_one_block(
-        0.01, num_copies, 20_001, **kw
+    assert estimate_fidelity(nu, num_copies, 20_001, **kw) == fidelity_one_block(
+        nu, num_copies, 20_001, **kw
     )
+
+
+KERNEL_GATES = {
+    "I": named_gate("I"), "X": named_gate("X"), "Y": named_gate("Y"),
+    "H": named_gate("H"), "Z0.3": named_gate("Z", 0.3), "Zpi": named_gate("Z", math.pi),
+}
+KERNEL_INPUTS = [(1.0, 0.0), (0.0, 1.0), (0.0, 1j), (-1.0, 0.0), (0.6, 0.8j)]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "four-moment"])
+@pytest.mark.parametrize("num_copies", [1, 3, 16])
+def test_single_qubit_kernel_matches_the_two_term_oracle(num_copies, kind, nu):
+    # The kernel adds no term for a zero second amplitude.  With nonzero
+    # offsets its outputs keep the two-term expression's bytes; at nu = 0 the
+    # sign of a zero component may differ, so there the values are compared.
+    # The draws are a block of at least a full block's samples whose complex
+    # temporaries reach the 256 KiB from which numpy reuses them, and an odd
+    # part.
+    reused = -(-(256 * 1024 // 16) // num_copies)
+    counts = (max(montecarlo._SAMPLES_PER_BLOCK, reused), 37)
+    rng = np.random.default_rng(61 + num_copies)
+    for (name, gate), state in itertools.product(KERNEL_GATES.items(), KERNEL_INPUTS):
+        psi = montecarlo._unit_vector(state, 2)
+        for count in counts:
+            deltas = sample_deltas(NoiseSpec(nu, kind), (count, num_copies, 5), rng)
+            got = montecarlo._batched_single_qubit_out(gate, deltas, psi)
+            want = two_term_outputs(gate, deltas, psi)
+            case = f"{name} on {state}, {count} samples"
+            if nu > 0:
+                assert [o.tobytes() for o in got] == [o.tobytes() for o in want], case
+            else:
+                assert all(map(np.array_equal, got, want)), case
 
 
 @pytest.mark.parametrize("chunk_size", [4096, 10_000, 65_536])
 @pytest.mark.parametrize(
-    "gate, input_state",
-    [(named_gate("H"), (0.6, 0.8j)), (named_gate("Z", 0.3), (1.0, 1.0))],
-    ids=["H", "Z"],
+    "gate, input_state, nu",
+    [
+        (named_gate("H"), (0.6, 0.8j), 0.02),
+        (named_gate("Z", 0.3), (1.0, 1.0), 0.02),
+        # X and Y on -|0>: at nu = 0 the kernel's outputs differ from the
+        # two-term expression's in the sign of zero components
+        (named_gate("X"), (-1.0, 0.0), 0.0),
+        (named_gate("X"), (-1.0, 0.0), 0.02),
+        (named_gate("Y"), (-1.0, 0.0), 0.0),
+        (named_gate("Y"), (-1.0, 0.0), 0.02),
+        (named_gate("Z", math.pi), (0.0, 1j), 0.0),
+        (named_gate("H"), (0.0, 1.0), 0.02),
+    ],
+    ids=["H", "Z", "X-minus0-nu0", "X-minus0", "Y-minus0-nu0", "Y-minus0",
+         "Zpi-i1-nu0", "H-1-nu0.02"],
 )
-def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(gate, input_state, chunk_size):
+def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(
+    gate, input_state, nu, chunk_size
+):
     kw = dict(seed=47, gate=gate, input_state=input_state, chunk_size=chunk_size)
-    assert estimate_fidelity(0.02, 4, 20_001, **kw) == fidelity_one_block(
-        0.02, 4, 20_001, **kw
+    assert estimate_fidelity(nu, 4, 20_001, **kw) == fidelity_one_block(
+        nu, 4, 20_001, **kw
     )
 
 
