@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,14 +189,19 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def fusion_type2_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
+def fusion_type2_matrix(
+    deltas: np.ndarray | None = None, columns: Sequence[int] = (0, 1, 2, 3)
+) -> np.ndarray:
     """Type-II fusion network: splitters (theta1 on modes 1,2; theta2 on 3,4),
     swap of modes 2,4, then splitters (theta3 on 1,2; theta4 on 3,4).
 
     Each splitter is the real [[sin, cos], [cos, -sin]], and each input-output
     path crosses exactly two splitter angles.  The nominal setting is 50:50,
     every theta at pi/4; ``deltas`` of shape (..., 4) offsets the four angles
-    and gives the stack of noisy matrices, shape deltas.shape[:-1] + (4, 4).
+    and gives the stack of noisy matrices.  ``columns`` names the input modes
+    whose matrix columns are returned, in order, so the shape is
+    deltas.shape[:-1] + (4, len(columns)); an entry has the same bits whichever
+    columns are asked for.
     """
     if deltas is None:
         deltas = np.zeros(4)
@@ -204,37 +209,32 @@ def fusion_type2_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     s, c = np.sin(t), np.cos(t)
     s1, s2, s3, s4 = (s[..., i] for i in range(4))
     c1, c2, c3, c4 = (c[..., i] for i in range(4))
-    m = np.empty(deltas.shape[:-1] + (4, 4))
-    m[..., 0, 0] = s1 * s3
-    m[..., 0, 1] = c1 * s3
-    m[..., 0, 2] = c2 * c3
-    m[..., 0, 3] = -s2 * c3
-    m[..., 1, 0] = s1 * c3
-    m[..., 1, 1] = c1 * c3
-    m[..., 1, 2] = -c2 * s3
-    m[..., 1, 3] = s2 * s3
-    m[..., 2, 0] = c1 * c4
-    m[..., 2, 1] = -s1 * c4
-    m[..., 2, 2] = s2 * s4
-    m[..., 2, 3] = c2 * s4
-    m[..., 3, 0] = -c1 * s4
-    m[..., 3, 1] = s1 * s4
-    m[..., 3, 2] = s2 * c4
-    m[..., 3, 3] = c2 * c4
+    # column j, top to bottom: the paths from input mode j
+    by_column = (
+        lambda: (s1 * s3, s1 * c3, c1 * c4, -c1 * s4),
+        lambda: (c1 * s3, c1 * c3, -s1 * c4, s1 * s4),
+        lambda: (c2 * c3, -c2 * s3, s2 * s4, s2 * c4),
+        lambda: (-s2 * c3, s2 * s3, c2 * s4, c2 * c4),
+    )
+    m = np.empty(deltas.shape[:-1] + (4, len(columns)))
+    for k, j in enumerate(columns):
+        for i, entry in enumerate(by_column[j]()):
+            m[..., i, k] = entry
     return m
 
 
 # Each entry (i, j) of the four-mode matrix lies on one path: output i leaves
 # one entry of C or D and input j enters one entry of A or B.  With blocks
-# A..D flattened to 16 entries (4 * block + 2 * row + col), the post factor
-# of (i, j) depends on (i, j // 2) and the pre factor on (i // 2, j); the
-# shapes (2, 2, 2, 1) and (2, 1, 2, 2) broadcast them to (i // 2, i % 2,
-# j // 2, j % 2).
-_POST = np.array([8, 9, 10, 11, 13, 12, 15, 14]).reshape(2, 2, 2, 1)
-_PRE = np.array([0, 1, 6, 7, 2, 3, 4, 5]).reshape(2, 1, 2, 2)
+# A..D flattened to 16 entries (4 * block + 2 * row + col), _POST[i, j] is the
+# post factor of (i, j), which depends on (i, j // 2), and _PRE[i, j] the pre
+# factor, which depends on (i // 2, j).
+_POST = np.array([[8, 8, 9, 9], [10, 10, 11, 11], [13, 13, 12, 12], [15, 15, 14, 14]])
+_PRE = np.array([[0, 1, 6, 7], [0, 1, 6, 7], [2, 3, 4, 5], [2, 3, 4, 5]])
 
 
-def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
+def four_mode_matrix(
+    deltas: np.ndarray | None = None, columns: Sequence[int] = (0, 1, 2, 3)
+) -> np.ndarray:
     """Matrix of the general four-mode gate: two layers of single-qubit blocks
     around the 2<->4 swap.
 
@@ -244,7 +244,10 @@ def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     first-order law.  The nominal setting has every block at ``H``, the 50:50
     zero-phase splitter, where the matrix equals the Type-II network exactly.
     ``deltas`` of shape (..., 4, 5) offsets the five parameters of blocks A..D
-    and gives the stack of noisy matrices, shape deltas.shape[:-2] + (4, 4).
+    and gives the stack of noisy matrices.  ``columns`` names the input modes
+    whose matrix columns are returned, in order, so the shape is
+    deltas.shape[:-2] + (4, len(columns)); the blocks are built whole, and an
+    entry has the same bits whichever columns are asked for.
 
     Because of the swap, each input-output pair is joined by one path, so
     every entry of the layer product is a single product of a post-layer and
@@ -259,12 +262,13 @@ def four_mode_matrix(deltas: np.ndarray | None = None) -> np.ndarray:
     lead = deltas.shape[:-2]
     d = deltas if lead else deltas[None]  # one batch axis, as in single_qubit_matrix
     blocks = single_qubit_matrix(_NAMED["H"], d).reshape(d.shape[:-2] + (16,))
-    p, q = blocks[..., _POST], blocks[..., _PRE]
-    m = np.empty(d.shape[:-2] + (2, 2, 2, 2), dtype=complex)
+    cols = list(columns)
+    p, q = blocks[..., _POST[:, cols]], blocks[..., _PRE[:, cols]]
+    m = np.empty(d.shape[:-2] + (4, len(cols)), dtype=complex)
     np.subtract(p.real * q.real, p.imag * q.imag, out=m.real)
     np.add(p.real * q.imag, p.imag * q.real, out=m.imag)
     m += 0.0
-    return m.reshape(lead + (4, 4))
+    return m.reshape(lead + (4, len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +289,8 @@ class Family:
     kind     the ``NoiseSpec`` kind of those offsets
     build    the batched builder: offsets of shape (..., *offsets) to a stack
              of matrices (the single-qubit builder takes its ``GateParams``
-             first)
+             first; the four-rail builders take ``columns=``, the input
+             modes whose matrix columns they return)
     """
 
     rails: int

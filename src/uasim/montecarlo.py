@@ -39,6 +39,21 @@ component can change, which neither |.|^2 nor the moment sums see.  The
 skipped amplitude's phase offsets are still drawn, so the stream layout is
 unchanged.
 
+A fusion block builds only the matrix columns its photons enter: mode 0 and
+the two modes of ``photon_pair``.  Each builder writes every entry by its own
+elementwise expression, so a column has the same bits alone as in the whole
+matrix, and a copy average reduces each entry separately.  The per-photon
+output is column 0: with psi = e_0 every other term of ``avg @ psi`` is a
+product with a zero, +-0, which leaves a nonzero sum as it is.  The pair
+state S is monomial, so column k of X = avg @ S is avg[..., j] * S[j, k] for
+its one nonzero (j, k): one complex product with a real-valued scalar, while
+every other term the matrix product adds is again +-0.  The product
+X @ avg^T stays one BLAS call; the unbuilt columns of avg are zeros that meet
+only zero columns of X there.  So with nonzero offsets every output keeps
+its bytes, and at nu = 0 only the sign of a zero component can change, which
+no moment sum sees.  Every offset is still drawn, so the stream layout is
+unchanged.
+
 Estimators
 ----------
 ``estimate_fidelity``    success probability and conditional fidelity of the
@@ -67,6 +82,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -456,25 +472,40 @@ def estimate_fusion(
     four splitter angles (two per path) with the two-point +/- sqrt(nu)
     offsets of the Type-II analysis, ``four-mode`` jitters all twenty block
     parameters (six per path) with gaussian ones.  The per-photon run sends
-    one photon into mode 0; the two-photon run sends the pair ``photon_pair``.
+    one photon into mode 0; the two-photon run sends the pair ``photon_pair``,
+    two integer mode indices.
     """
     if num_copies < 1:
         raise ValueError("num_copies must be at least 1")
     family = FAMILIES.get(layout)
     if family is None or family.rails != 4:
         raise ValueError(f"unknown layout {layout!r}")
+    try:
+        mode_a, mode_b = photon_pair
+    except (TypeError, ValueError):
+        mode_a = mode_b = None
+    if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (mode_a, mode_b)):
+        raise ValueError(f"photon_pair must be two integer mode indices, got {photon_pair!r}")
     noise = NoiseSpec(nu, family.kind)
     ideal = fusion_type2_matrix()
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
     target1 = ideal @ psi
-    s_in = pair_state(photon_pair[0], photon_pair[1], 4)
+    s_in = pair_state(mode_a, mode_b, 4)
     s_target = evolve_pair(ideal, s_in)
+    # Only the columns the photons enter are built; the pair state is
+    # monomial, so column k of avg @ s_in is one column of avg times s_in[j, k].
+    cols = sorted({0, mode_a, mode_b})
+    pair_terms = list(zip(*np.nonzero(s_in)))
 
     def run_block(idx: int, lo: int, n: int, count: int):
-        avg = family.build(deltas=draw(idx, lo, n)).mean(axis=1)
-        out1 = avg @ psi
-        s_out = evolve_pair(avg, s_in)
+        avg = np.zeros((n, 4, 4), dtype=complex)
+        avg[..., cols] = family.build(deltas=draw(idx, lo, n), columns=cols).mean(axis=1)
+        out1 = avg[..., 0]
+        x = np.zeros_like(avg)
+        for j, k in pair_terms:
+            x[..., k] = avg[..., j] * s_in[j, k]
+        s_out = x @ np.swapaxes(avg, -1, -2)
         return (
             out1,
             np.sum(np.abs(out1) ** 2, axis=1),

@@ -585,11 +585,13 @@ def test_only_what_is_read_is_contracted(monkeypatch):
     assert calls == [(0, 2, 2), (0, 8, 8)]
 
 
-# A restricted product must round like the whole one, and the four-mode gate's
-# one-path products like the padded layer product, under every OpenBLAS kernel
-# set, not only the one this host picks.  The child reads the core it
-# got through ctypes and fails, never skips, when the forced core is not the
-# one in use; OpenBLAS reports its Prescott kernels under the name Katmai.
+# A restricted product must round like the whole one, the four-mode gate's
+# one-path products like the padded layer product, and fusion's hand-built
+# product of its averaged columns with the pair state like the zgemm of the
+# whole matrix, under every OpenBLAS kernel set, not only the one this host
+# picks.  The child reads the core it got through ctypes and fails, never
+# skips, when the forced core is not the one in use; OpenBLAS reports its
+# Prescott kernels under the name Katmai.
 CORE_CHILD = """
 import ctypes, sys
 import pytest
@@ -624,6 +626,7 @@ def test_tree_and_four_mode_bits_hold_under_each_openblas_core(core):
         "test_averaging.py::test_every_branch_is_its_matrix_slice_bit_for_bit",
         "test_montecarlo.py::test_end_to_end_equals_one_tree_per_sample_bit_for_bit",
         "test_gates.py::test_four_mode_gate_has_the_bits_of_its_layer_product",
+        "test_montecarlo.py::test_fusion_equals_one_block_bit_for_bit",
     ]
     proc = subprocess.run(
         [sys.executable, "-c", CORE_CHILD, core, *(f"{tests}/{c}" for c in checks)],

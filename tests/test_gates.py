@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -319,6 +320,39 @@ def test_four_mode_gate_has_the_bits_of_its_layer_product():
         got = four_mode_matrix(deltas)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# Batch shapes for the column builders: the scalar gate, one and a few
+# samples, and a stack whose complex temporaries pass the 256 KiB from which
+# numpy reuses a temporary operand as the result.
+COLUMN_BATCHES = ((), (1,), (7,), (4096, 3))
+COLUMN_SETS = [c for r in range(1, 5) for c in itertools.combinations(range(4), r)]
+
+
+@pytest.mark.parametrize("lead", COLUMN_BATCHES, ids=lambda lead: str(lead))
+def test_column_builders_are_the_full_builders_columns_bit_for_bit(lead):
+    """Every nonempty set of input modes, in either order, gives the full
+    matrix's columns with their bytes, zero signs too."""
+    rng = np.random.default_rng(43)
+    offsets = {
+        four_mode_matrix: [np.zeros(lead + (4, 5)), rng.normal(0.0, 0.1, lead + (4, 5))],
+        fusion_type2_matrix: [
+            np.zeros(lead + (4,)),
+            sample_deltas(NoiseSpec(0.01, "four-moment"), lead + (4,), rng),
+            rng.uniform(-3, 3, lead + (4,)),
+        ],
+    }
+    for build, draws in offsets.items():
+        for deltas in draws:
+            full = build(deltas)
+            assert full.shape == lead + (4, 4)
+            for cols in COLUMN_SETS:
+                for order in (cols, cols[::-1]):
+                    got = build(deltas, columns=order)
+                    want = full[..., list(order)]
+                    case = f"{build.__name__} columns {order}"
+                    assert got.shape == want.shape, case
+                    assert got.tobytes() == want.tobytes(), case
 
 
 def test_path_parameter_counts():

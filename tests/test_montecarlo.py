@@ -149,6 +149,10 @@ def test_argument_validation():
     for pair in ((0, 4), (-1, 0)):
         with pytest.raises(ValueError, match="mode index out of range"):
             estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
+    # a pair is exactly two integer modes, so a third entry is not ignored
+    for pair in ((0, 2, 3), (0,), (0.0, 2), (0, True), 2, None):
+        with pytest.raises(ValueError, match="two integer mode indices"):
+            estimate_fusion(0.01, 2, 100, seed=1, photon_pair=pair)
     # an infinite variance would give a per-photon P_s of 1.0 with stderr 0.0
     with pytest.raises(ValueError, match="finite"):
         estimate_fusion(math.inf, 2, 100, seed=1)
@@ -566,12 +570,19 @@ def test_fidelity_gate_and_input_equal_one_block_bit_for_bit(
     ids=["1", "3", "2-513", "2-1025", "2-1025-tail1"],
 )
 # the ids name the pair and the single photon's mode, which is always 0
-@pytest.mark.parametrize("pair", [(0, 2), (1, 1)], ids=["pair02-mode0", "pair11-mode0"])
+@pytest.mark.parametrize(
+    "pair", [(0, 2), (1, 1), (3, 0), (0, 0)],
+    ids=["pair02-mode0", "pair11-mode0", "pair30-mode0", "pair00-mode0"],
+)
 def test_fusion_equals_one_block_bit_for_bit(layout, num_copies, samples, chunk_size, pair):
     # The overlap is taken in parts of at most 512 rows.  Chunks of 513 and
     # 1025 sit one row past a multiple of 512, where cutting off 512-row
     # parts would leave a one-row tail for BLAS dot.  2051 samples at 1025
     # end in a one-sample chunk, which goes to dot in the reference too.
+    # The estimator builds only the columns the photons enter and forms the
+    # pair's first product by hand; the reference builds every column and
+    # takes both products with BLAS.  (3, 0) reaches column 3 with its modes
+    # out of order, and (0, 0) shares the single photon's column.
     kw = dict(
         seed=53 + num_copies, layout=layout, photon_pair=pair, chunk_size=chunk_size
     )
