@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import NoiseSpec, sample_deltas
+from .gates import NoiseSpec, _splitter, sample_deltas
 
 __all__ = [
     "EncoderNoise",
@@ -150,9 +150,10 @@ def num_splitter_deltas(num_copies: int, rails: int, correlated: bool) -> int:
 def _splitter_slots(n: int, rails: int) -> np.ndarray:
     """Flat slots of one tree side's splitter entries in (n, total, total).
 
-    Laid out [ii | ij | ji | jj] to receive (s, c, c, -s); each part runs
-    level-major, then pair, then rail, the order of the angle offsets.  Every
-    level pairs up every copy, so the slots cover each level's diagonal.
+    Laid out [ii | ij | ji | jj] to receive ``_splitter``'s (s, c, c, -s);
+    each part runs level-major, then pair, then rail, the order of the angle
+    offsets.  Every level pairs up every copy, so the slots cover each
+    level's diagonal.
     """
     total = (1 << n) * rails
     r = np.arange(rails)
@@ -191,10 +192,8 @@ def _side_matrix(n, rails, deltas, mirrored, lo, hi):
     lead = deltas.shape[:-1]
     if deltas.shape[-1] < n * total // 2:  # correlated: one offset per copy pair
         deltas = np.repeat(deltas, rails, axis=-1)
-    theta = math.pi / 4 + deltas
-    s, c = np.sin(theta), np.cos(theta)
     layers = np.zeros(lead + (n * total * total,))
-    layers[..., _splitter_slots(n, rails)] = np.concatenate([s, c, c, -s], axis=-1)
+    layers[..., _splitter_slots(n, rails)] = np.concatenate(_splitter(deltas), axis=-1)
     layers = layers.reshape(lead + (n, total, total))
     out = layers[..., 0, lo:hi, :] if mirrored else layers[..., 0, :, lo:hi]
     for level in range(1, n):

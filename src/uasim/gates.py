@@ -9,8 +9,9 @@ with per-path parameter counts 2 and 6.
 
 Every builder is batched (the scalar gate is the empty batch) and writes each
 matrix entry from its parameters in elementwise arithmetic, with no matrix
-product: the single-qubit and Type-II entries by hand, and each four-mode
-entry as the product along its one path through the two block layers.
+product: the single-qubit entries by hand, and each Type-II and four-mode
+entry as the product along its one path through the two block layers, with
+both factors read from one pair of tables.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
         u *= math.sqrt(nu)
         return u
     if noise.kind == "uniform":
-        half = math.sqrt(3.0 * nu)
+        # where 3 nu overflows, 2 sqrt(0.75 nu) is sqrt(3 nu) rounded alike
+        half = math.sqrt(3.0 * nu) if 3.0 * nu < math.inf else 2.0 * math.sqrt(0.75 * nu)
         u *= 2.0
         u -= 1.0
         u *= half
@@ -172,11 +174,11 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
     # two-point: +/- a with probability p each.  At m4 = nu * nu these are
     # sqrt(nu) and 1/2 in exact arithmetic; the expressions fix their floats
     # (math.sqrt(nu) and 0.5 can differ by an ulp), and with them the draws.
-    # Where nu * nu is subnormal, 0 or infinite they lose their digits,
-    # divide by zero or overflow, and the exact values stand.
+    # Where nu * nu is subnormal or 0 they lose their digits or divide by
+    # zero, and where 2 nu nu overflows p is 0; there the exact values stand.
     m4 = nu * nu
     a, p = math.sqrt(nu), 0.5
-    if sys.float_info.min <= m4 < math.inf:
+    if sys.float_info.min <= m4 and 2.0 * m4 < math.inf:
         a, p = math.sqrt(m4 / nu), nu**2 / (2.0 * m4)
     out = np.zeros(shape)
     out[u < p] = -a
@@ -189,47 +191,44 @@ def sample_deltas(noise: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+# Each entry (i, j) of both two-qubit networks lies on one path: output i
+# leaves one entry of block C or D and input j enters one entry of A or B.
+# With blocks A..D flattened to 16 entries (4 * block + 2 * row + col),
+# _POST[i, j] is the post factor of (i, j), which depends on (i, j // 2),
+# and _PRE[i, j] the pre factor, which depends on (i // 2, j).
+_POST = np.array([[8, 8, 9, 9], [10, 10, 11, 11], [13, 13, 12, 12], [15, 15, 14, 14]])
+_PRE = np.array([[0, 1, 6, 7], [0, 1, 6, 7], [2, 3, 4, 5], [2, 3, 4, 5]])
+
+
+def _splitter(deltas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (sin, cos, cos, -sin) of the real splitter [[sin t, cos t],
+    [cos t, -sin t]] at t = pi/4 + deltas, 50:50 at zero offset."""
+    t = math.pi / 4 + deltas
+    s, c = np.sin(t), np.cos(t)
+    return s, c, c, -s
+
+
 def fusion_type2_matrix(
     deltas: np.ndarray | None = None, columns: Sequence[int] = (0, 1, 2, 3)
 ) -> np.ndarray:
     """Type-II fusion network: splitters (theta1 on modes 1,2; theta2 on 3,4),
     swap of modes 2,4, then splitters (theta3 on 1,2; theta4 on 3,4).
 
-    Each splitter is the real [[sin, cos], [cos, -sin]], and each input-output
-    path crosses exactly two splitter angles.  The nominal setting is 50:50,
-    every theta at pi/4; ``deltas`` of shape (..., 4) offsets the four angles
-    and gives the stack of noisy matrices.  ``columns`` names the input modes
-    whose matrix columns are returned, in order, so the shape is
-    deltas.shape[:-1] + (4, len(columns)); an entry has the same bits whichever
-    columns are asked for.
+    The four-mode layout with splitters theta1..theta4 as blocks A..D: each
+    path crosses two splitter angles, and each entry is the real product of
+    its two factors.  The nominal setting is 50:50, every theta at pi/4;
+    ``deltas`` of shape (..., 4) offsets the four angles and gives the stack
+    of noisy matrices.  ``columns`` names the input modes whose matrix
+    columns are returned, in order, so the shape is deltas.shape[:-1] +
+    (4, len(columns)); an entry has the same bits whichever columns are
+    asked for.
     """
     if deltas is None:
         deltas = np.zeros(4)
-    t = math.pi / 4 + deltas
-    s, c = np.sin(t), np.cos(t)
-    s1, s2, s3, s4 = (s[..., i] for i in range(4))
-    c1, c2, c3, c4 = (c[..., i] for i in range(4))
-    # column j, top to bottom: the paths from input mode j
-    by_column = (
-        lambda: (s1 * s3, s1 * c3, c1 * c4, -c1 * s4),
-        lambda: (c1 * s3, c1 * c3, -s1 * c4, s1 * s4),
-        lambda: (c2 * c3, -c2 * s3, s2 * s4, s2 * c4),
-        lambda: (-s2 * c3, s2 * s3, c2 * s4, c2 * c4),
-    )
-    m = np.empty(deltas.shape[:-1] + (4, len(columns)))
-    for k, j in enumerate(columns):
-        for i, entry in enumerate(by_column[j]()):
-            m[..., i, k] = entry
-    return m
-
-
-# Each entry (i, j) of the four-mode matrix lies on one path: output i leaves
-# one entry of C or D and input j enters one entry of A or B.  With blocks
-# A..D flattened to 16 entries (4 * block + 2 * row + col), _POST[i, j] is the
-# post factor of (i, j), which depends on (i, j // 2), and _PRE[i, j] the pre
-# factor, which depends on (i // 2, j).
-_POST = np.array([[8, 8, 9, 9], [10, 10, 11, 11], [13, 13, 12, 12], [15, 15, 14, 14]])
-_PRE = np.array([[0, 1, 6, 7], [0, 1, 6, 7], [2, 3, 4, 5], [2, 3, 4, 5]])
+    blocks = np.stack(_splitter(deltas), axis=-1).reshape(deltas.shape[:-1] + (16,))
+    cols = list(columns)
+    # in C order: a copy average over the stack sums by its memory layout
+    return np.multiply(blocks[..., _POST[:, cols]], blocks[..., _PRE[:, cols]], order="C")
 
 
 def four_mode_matrix(

@@ -30,21 +30,22 @@ row only when its chunk does.  Parts that small keep OpenBLAS on one thread;
 a larger gemv wakes a helper thread that then spins against the pool
 workers.
 
-The single-qubit kernel adds no term for a second input amplitude that is
-exactly 0, as in the |0> that every ``uasim mc`` single-qubit point runs.
-That term is a complex product with a zero scalar, whose components are +-0,
-and a sum or difference of +-0 and a nonzero x is exactly x; so with nonzero
-offsets every output keeps its bytes, and at nu = 0 only the sign of a zero
-component can change, which neither |.|^2 nor the moment sums see.  The
-skipped amplitude's phase offsets are still drawn, so the stream layout is
-unchanged.
+The single-qubit kernel adds the second input amplitude's term only if that
+amplitude is nonzero; it is 0 in the |0> of every ``uasim mc`` single-qubit
+point.  The term left out is a complex product with a zero scalar, whose
+components are +-0, and a sum or difference of +-0 and a nonzero x is
+exactly x; so with nonzero offsets every output keeps its bytes, and at
+nu = 0 only the sign of a zero component can change, which neither |.|^2
+nor the moment sums see.  The skipped amplitude's phase offsets are still
+drawn, so the stream layout is unchanged.
 
 A fusion block builds only the matrix columns its photons enter: mode 0 and
 the two modes of ``photon_pair``.  Each builder writes every entry by its own
 elementwise expression, so a column has the same bits alone as in the whole
-matrix, and a copy average reduces each entry separately.  The per-photon
-output is column 0: with psi = e_0 every other term of ``avg @ psi`` is a
-product with a zero, +-0, which leaves a nonzero sum as it is.  The pair
+matrix, and a copy average reduces each entry separately.  The photon
+enters mode 0, so its output and target are column 0 of avg and of the ideal
+matrix: every other term of a product with e_0 is +-0, which leaves a
+nonzero sum as it is.  The pair
 state S is monomial, so column k of X = avg @ S is avg[..., j] * S[j, k] for
 its one nonzero (j, k): one complex product with a real-valued scalar, while
 every other term the matrix product adds is again +-0.  The product
@@ -323,28 +324,30 @@ def _batched_single_qubit_out(
 
     ``deltas`` has shape (..., 5); both returned arrays drop that last axis.
 
-    If psi[1] is exactly 0 its term is left out, and the phase column
-    ``deltas[..., 2]`` is never read.  That term would be a complex product
-    with a zero scalar, every component +-0, and a sum or difference of +-0
-    and a nonzero x is exactly x.  So the outputs keep the two-term
-    expression's bytes wherever the kept term's components are nonzero, as
-    they are for nonzero offsets; otherwise only the sign of a zero component
-    can change.  Each kept product has the two-term expression's operands
-    on the same sides: numpy reuses a large temporary left operand as the
-    result, and with the temporary on the right a complex product can round
-    differently.
+    Each output, its phase times s u + c v or c u - s v for the phased
+    input amplitudes u and v, is written once; the v terms are added only
+    if psi[1] is nonzero, and otherwise ``deltas[..., 2]`` is never read.
+    Such a term would be a complex product with a zero scalar, every
+    component +-0, and a sum or difference of +-0 and a nonzero x is
+    exactly x.  So the outputs keep the two-term expression's bytes wherever
+    the kept term's components are nonzero, as they are for nonzero offsets;
+    otherwise only the sign of a zero component can change.  Each product has
+    the two-term expression's operands on the same sides: numpy reuses a
+    large temporary left operand as the result, and with the temporary on the
+    right a complex product can round differently.
     """
     th = base.theta + deltas[..., 0]
     s, c = np.sin(th), np.cos(th)
     u = _expi(base.phi1 + deltas[..., 1]) * psi[0]
-    if psi[1] == 0:
-        out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u)
-        out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u)
-        return out0, out1
-    v = _expi(base.phi2 + deltas[..., 2]) * psi[1]
-    out0 = _expi(base.chi1 + deltas[..., 3]) * (s * u + c * v)
-    out1 = _expi(base.chi2 + deltas[..., 4]) * (c * u - s * v)
-    return out0, out1
+    x0, x1 = s * u, c * u
+    del u  # not read again; freeing it now lowers the peak working set
+    if psi[1] != 0:
+        v = _expi(base.phi2 + deltas[..., 2]) * psi[1]
+        x0 += c * v
+        x1 -= s * v
+    x0 = _expi(base.chi1 + deltas[..., 3]) * x0
+    x1 = _expi(base.chi2 + deltas[..., 4]) * x1
+    return x0, x1
 
 
 def _unit_vector(input_state: Sequence[complex], dim: int) -> np.ndarray:
@@ -488,9 +491,7 @@ def estimate_fusion(
         raise ValueError(f"photon_pair must be two integer mode indices, got {photon_pair!r}")
     noise = NoiseSpec(nu, family.kind)
     ideal = fusion_type2_matrix()
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = 1.0
-    target1 = ideal @ psi
+    target1 = ideal[:, 0]
     s_in = pair_state(mode_a, mode_b, 4)
     s_target = evolve_pair(ideal, s_in)
     # Only the columns the photons enter are built; the pair state is

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -1116,8 +1117,7 @@ def test_dispatch_keeps_argparse_exits_and_messages(argv, code, fragment):
 # ---------------------------------------------------------------------------
 
 # A small valid config per subcommand, and the fields a property test may
-# replace.  Destinations and --curve name files, so they are never drawn;
-# integers stay small so that any drawn run is fast.
+# replace.  Destinations and --curve name files, so they are never drawn.
 VALID_CONFIGS = {
     "analytic": ({"formula": "ps-single", "nu": [0.01], "big_n": [2]},
                  ("formula", "nu", "big_n", "variant", "format")),
@@ -1132,18 +1132,42 @@ VALID_CONFIGS = {
 }
 NOT_DRAWN = {"out", "svg", "report", "dump_config", "curve", "subcommand"}
 
-json_scalars = (
-    st.none() | st.booleans() | st.integers(-4, 128) | st.floats(-4, 128)
-    | st.sampled_from([math.nan, math.inf, -math.inf])
-    | st.sampled_from(["", "inf", "nan", "-1", "0", "2", "1e-3", "0.01,0.02", "H", "Z",
-                       "type2", "json", "main", "ps-single", "true"])
-    | st.text(alphabet="0123456789.,-+eE infaHXYZ", max_size=4)
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
-    max_leaves=6,
+
+@st.composite
+def edge_floats(draw):
+    """The neighbours of 0, 1 and every power of two, subnormal to huge, of
+    either sign."""
+    x = math.ldexp(1.0, draw(st.integers(-1074, 1023)))
+    x = math.nextafter(x, draw(st.sampled_from([0.0, x, math.inf])))
+    return draw(st.sampled_from([x, -x]))
+
+
+def json_values(integers):
+    """JSON values up to six leaves deep, with ``integers`` as their ints."""
+    scalars = (
+        st.none() | st.booleans() | integers | st.floats(-4, 128)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(-sys.float_info.min, sys.float_info.min)
+        | st.sampled_from([sys.float_info.max, -sys.float_info.max]) | edge_floats()
+        | st.sampled_from([math.nan, math.inf, -math.inf])
+        | st.sampled_from(["", "inf", "nan", "-1", "0", "2", "1e-3", "0.01,0.02", "H", "Z",
+                           "type2", "json", "main", "ps-single", "true"])
+        | st.text(alphabet="0123456789.,-+eE infaHXYZ", max_size=4)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    )
+
+
+# ``samples`` only sets how long a run takes, so its whole numbers stay small
+# (a float there is whole only if it is small too); every other field may
+# get any integer up to 10^400.
+ANY_VALUE = json_values(st.integers(-4, 128) | st.integers(-10**400, 10**400))
+SAMPLES_VALUE = json_values(st.integers(-4, 128)).filter(
+    lambda v: not (isinstance(v, float) and v.is_integer() and abs(v) > 128)
 )
 
 
@@ -1151,15 +1175,34 @@ json_values = st.recursive(
 def mutated_configs(draw):
     sub = draw(st.sampled_from(sorted(VALID_CONFIGS)))
     config, fields = VALID_CONFIGS[sub]
-    key = draw(
+    keys = draw(st.lists(
         st.sampled_from(fields)
         | st.sampled_from(["famly", "samples", "levels", "config", "big-n"])
-        | st.text(max_size=4).filter(lambda k: k not in NOT_DRAWN)
-    )
-    return sub, {"subcommand": sub, **config, key: draw(json_values)}
+        | st.text(max_size=4).filter(lambda k: k not in NOT_DRAWN),
+        min_size=1, max_size=2, unique=True,
+    ))
+    mutated = {k: draw(SAMPLES_VALUE if k == "samples" else ANY_VALUE) for k in keys}
+    return sub, {"subcommand": sub, **config, **mutated}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@contextlib.contextmanager
+def address_space_headroom(extra: int):
+    """Cap this process's address space at its current size plus ``extra``
+    bytes, so that a drawn copy count too large for memory raises
+    MemoryError, as it does on a host without the memory, in place of
+    filling this host's.  Linux only: the size is read from /proc."""
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = used + extra if hard == resource.RLIM_INFINITY else min(used + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_configs())
 def test_any_config_value_exits_0_2_or_3(tmp_path, case):
@@ -1168,7 +1211,8 @@ def test_any_config_value_exits_0_2_or_3(tmp_path, case):
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([sub, "--config", str(path)])
+        with address_space_headroom(1 << 30):
+            code = main([sub, "--config", str(path)])
     assert code in (0, 2, 3), err.getvalue()
     if code:
         assert err.getvalue().startswith("uasim:")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import astuple
+from decimal import Decimal, localcontext
 from functools import partial
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def test_four_moment_defaults_to_the_two_point_law(nu):
 
 def _two_point_reference(nu, shape, rng):
     """The two-point draw by the expressions ``sample_deltas`` keeps where
-    nu * nu is a normal float."""
+    nu * nu is a normal float and twice it is finite."""
     u = rng.random(shape)
     m4 = nu * nu
     a = math.sqrt(m4 / nu)
@@ -181,32 +182,41 @@ def _two_point_reference(nu, shape, rng):
     return out
 
 
-# The smallest and largest nu whose squares are normal floats: one ulp
-# below the first the square is subnormal, one ulp above the second infinite.
+# The smallest nu whose square is a normal float, and the largest whose
+# square is finite when doubled and undoubled: one ulp below the first the
+# square is subnormal, one ulp above the second twice it overflows, and one
+# ulp above the third it does.
 SMALLEST_NORMAL_SQUARE = math.sqrt(sys.float_info.min)
+HALF_MAX_SQUARE = math.sqrt(sys.float_info.max / 2)
 LARGEST_FINITE_SQUARE = math.sqrt(sys.float_info.max)
+
+
+def _expressions_hold(nu):
+    return sys.float_info.min <= nu * nu and 2.0 * nu * nu < math.inf
 
 
 @pytest.mark.parametrize(
     "nu",
     [SMALLEST_NORMAL_SQUARE, 1e-150, 0.42672114373024106, 0.029724695889211672,
-     LARGEST_FINITE_SQUARE],
+     HALF_MAX_SQUARE],
 )
 def test_two_point_draws_keep_their_bytes_where_the_square_is_normal(nu):
-    assert sys.float_info.min <= nu * nu < math.inf
+    assert _expressions_hold(nu)
     got = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(5))
     want = _two_point_reference(nu, (4096,), np.random.default_rng(5))
     assert got.tobytes() == want.tobytes()
 
 
-# nu * nu is 0 at the first two, subnormal at the next two and infinite at
-# the last, where the expressions above divide by zero, lose their digits or
-# overflow.
+# nu * nu is 0 at the first two, subnormal at the next two, normal but
+# infinite when doubled at the next two and infinite at the last, where the
+# expressions above divide by zero, lose their digits or give p = 0.
 @pytest.mark.parametrize(
-    "nu", [5e-324, 1e-170, 1e-160, math.nextafter(SMALLEST_NORMAL_SQUARE, 0.0), 1e200]
+    "nu",
+    [5e-324, 1e-170, 1e-160, math.nextafter(SMALLEST_NORMAL_SQUARE, 0.0),
+     math.nextafter(HALF_MAX_SQUARE, math.inf), LARGEST_FINITE_SQUARE, 1e200],
 )
 def test_two_point_offsets_survive_a_square_out_of_the_normal_range(nu):
-    assert not sys.float_info.min <= nu * nu < math.inf
+    assert not _expressions_hold(nu)
     d = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(5))
     a = math.sqrt(nu)
     assert a > 0.0
@@ -218,6 +228,53 @@ def test_two_point_distribution_is_pure_sign_flip():
     nu = 0.01
     d = sample_deltas(NoiseSpec(nu, "four-moment"), (4096,), np.random.default_rng(3))
     np.testing.assert_allclose(np.abs(d), math.sqrt(nu), atol=1e-15)
+
+
+# Every finite variance, with weight where the draws' expressions change:
+# subnormals; from about 9.48e153, where 2 nu nu overflows, to about
+# 1.34e154, where nu nu does; above max / 3, where 3 nu does; and max.
+EDGE_VARIANCES = [
+    0.0, 5e-324, sys.float_info.min, math.nextafter(SMALLEST_NORMAL_SQUARE, 0.0),
+    math.nextafter(HALF_MAX_SQUARE, 0.0), HALF_MAX_SQUARE,
+    math.nextafter(HALF_MAX_SQUARE, math.inf), 1e154, LARGEST_FINITE_SQUARE,
+    math.nextafter(LARGEST_FINITE_SQUARE, math.inf), sys.float_info.max / 3,
+    math.nextafter(sys.float_info.max / 3, math.inf), 1e308, sys.float_info.max,
+]
+VARIANCES = (
+    st.sampled_from(EDGE_VARIANCES)
+    | st.floats(0.0, sys.float_info.max)
+    | st.floats(0.0, sys.float_info.min)
+    | st.floats(0.9 * HALF_MAX_SQUARE, 1.1 * LARGEST_FINITE_SQUARE)
+    | st.floats(0.9 * sys.float_info.max / 3, sys.float_info.max)
+)
+
+
+class _EndsFirst:
+    """Uniform variates that start at both ends of [0, 1), then run on at random."""
+
+    def random(self, shape):
+        u = np.random.default_rng(3).random(shape)
+        u[:2] = 0.0, np.nextafter(1.0, 0.0)
+        return u
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "four-moment"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(nu=VARIANCES)
+def test_noise_draws_keep_their_law_over_the_whole_double_range(kind, nu):
+    d = sample_deltas(NoiseSpec(nu, kind), (1024,), _EndsFirst())
+    assert np.isfinite(d).all()
+    if kind == "four-moment" and nu > 0:
+        a = abs(float(d[0]))
+        assert a > 0.0 and (np.abs(d) == a).all()
+    if kind == "uniform":
+        # u = 0 draws the end of the range, which holds every offset and is
+        # sqrt(3 nu) to within an ulp
+        end = -float(d[0])
+        assert (np.abs(d) <= end).all()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert abs(Decimal(end) - (3 * Decimal(nu)).sqrt()) <= Decimal(math.ulp(end))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +410,49 @@ def test_column_builders_are_the_full_builders_columns_bit_for_bit(lead):
                     case = f"{build.__name__} columns {order}"
                     assert got.shape == want.shape, case
                     assert got.tobytes() == want.tobytes(), case
+
+
+def type2_by_hand(deltas, columns):
+    """The Type-II columns with each entry written out as the product along
+    its path, s_k = sin(pi/4 + delta_k) and c_k likewise: the byte oracle of
+    the table-driven builder."""
+    t = math.pi / 4 + deltas
+    s, c = np.sin(t), np.cos(t)
+    s1, s2, s3, s4 = (s[..., i] for i in range(4))
+    c1, c2, c3, c4 = (c[..., i] for i in range(4))
+    by_column = (
+        lambda: (s1 * s3, s1 * c3, c1 * c4, -c1 * s4),
+        lambda: (c1 * s3, c1 * c3, -s1 * c4, s1 * s4),
+        lambda: (c2 * c3, -c2 * s3, s2 * s4, s2 * c4),
+        lambda: (-s2 * c3, s2 * s3, c2 * s4, c2 * c4),
+    )
+    m = np.empty(deltas.shape[:-1] + (4, len(columns)))
+    for k, j in enumerate(columns):
+        for i, entry in enumerate(by_column[j]()):
+            m[..., i, k] = entry
+    return m
+
+
+ORDERED_COLUMNS = [c for r in range(1, 5) for c in itertools.permutations(range(4), r)]
+
+
+@pytest.mark.parametrize("lead", COLUMN_BATCHES + ((1024, 8),), ids=lambda lead: str(lead))
+def test_type2_builder_has_the_bytes_of_its_per_column_products(lead):
+    """Every ordered tuple of columns, at zero, two-point and wide offsets,
+    zero signs too.  The stack is C-ordered: a copy average over one of its
+    axes sums by the layout, so a stack laid out otherwise with the same
+    bytes would average to other bits."""
+    assert len(ORDERED_COLUMNS) == 64
+    rng = np.random.default_rng(47)
+    draws = [rng.normal(0.0, scale, lead + (4,)) for scale in (0.0, 0.1, 1.0, 10.0)]
+    draws.append(sample_deltas(NoiseSpec(0.01, "four-moment"), lead + (4,), rng))
+    for deltas in draws:
+        for cols in ORDERED_COLUMNS:
+            got = fusion_type2_matrix(deltas, columns=cols)
+            want = type2_by_hand(deltas, cols)
+            assert got.shape == want.shape and got.flags.c_contiguous, cols
+            assert got.tobytes() == want.tobytes(), cols
+    assert fusion_type2_matrix(draws[1]).tobytes() == type2_by_hand(draws[1], range(4)).tobytes()
 
 
 def test_path_parameter_counts():

@@ -185,6 +185,16 @@ def test_single_copy_has_unit_success():
     assert fus.two_photon.success_prob.mean == pytest.approx(1.0, abs=1e-12)
 
 
+# At nu = 1e154, 2 nu nu overflows, and at 1e308, 3 nu does; the offsets
+# must still follow their laws, not collapse to 0 or run to infinity.
+def test_huge_variances_give_noisy_finite_estimates():
+    fus = estimate_fusion(1e154, 2, 100, seed=1).per_photon.success_prob
+    assert fus.mean < 1.0 and fus.stderr > 0.0
+    run = estimate_fidelity(1e308, 2, 100, seed=1, kind="uniform")
+    for est in (run.success_prob, *vars(run.fidelity).values()):
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr), est
+
+
 # ---------------------------------------------------------------------------
 # agreement with the exact ensemble averages (frozen seeds, 5 sigma)
 # ---------------------------------------------------------------------------
